@@ -6,11 +6,15 @@
 /// is checked against the Devroye–Morin-style O(sqrt(n log n)) bound as a
 /// calibrated upper envelope plus a log-log growth-exponent fit; the SINR
 /// SIMD and scalar kernel paths must produce bit-identical power
-/// checksums at every tier. The registry snapshot lands in BENCH_8.json.
+/// checksums at every tier, and Strategy::kParallel must reproduce the
+/// kGrid SINR power bits and sender-centric per-edge coverage exactly.
+/// The registry snapshot lands in BENCH_8.json.
 ///
 /// An optional argv[1] caps the largest tier (CI's PR legs run the 100k
 /// smoke tier; the nightly scale job runs the full million).
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -29,6 +33,7 @@
 #include "rim/core/sinr.hpp"
 #include "rim/io/table.hpp"
 #include "rim/obs/registry.hpp"
+#include "rim/parallel/thread_pool.hpp"
 #include "rim/sim/random_deployment.hpp"
 #include "rim/topology/nearest_neighbor_forest.hpp"
 
@@ -59,9 +64,13 @@ struct TierResult {
   double sinr_max_power = 0.0;
   std::uint64_t sinr_checksum = 0;
   bool sinr_checksums_identical = false;
+  bool sinr_parallel_identical = false;
+  bool sender_parallel_identical = false;
   double receiver_ms = 0.0;
   double sender_ms = 0.0;
   double sinr_ms = 0.0;
+  double sender_parallel_ms = 0.0;
+  double sinr_parallel_ms = 0.0;
 };
 
 }  // namespace
@@ -83,9 +92,12 @@ int main(int argc, char** argv) {
         constexpr std::uint64_t kSeed = 97;
         constexpr double kDensity = 12.5;  // nodes per unit square
         const std::size_t all_tiers[] = {10000, 100000, 1000000};
+        const std::size_t pool_threads =
+            parallel::ThreadPool::shared().thread_count();
 
         std::vector<TierResult> tiers;
         bool checksums_ok = true;
+        bool parallel_ok = true;
         for (const std::size_t n : all_tiers) {
           if (n > max_nodes) continue;
           TierResult tier;
@@ -112,12 +124,22 @@ int main(int argc, char** argv) {
           tier.receiver_ms = ms_since(t0);
           tier.receiver_max = receiver.max;
 
+          // Sender-centric per-edge coverage (its max is the Assessor's
+          // node-projected max), then the kParallel replay.
           t0 = Clock::now();
-          core::EvalOptions sender_opts = base;
-          const core::InterferenceSummary sender = assessor.assess(
-              nnf, points, sender_opts.with_model(core::Model::kSenderCentric));
+          const core::SenderCentricSummary sender =
+              core::evaluate_sender_centric(nnf, points, base);
           tier.sender_ms = ms_since(t0);
           tier.sender_max = sender.max;
+
+          core::EvalOptions parallel = base;
+          parallel.with_strategy(core::Strategy::kParallel);
+          t0 = Clock::now();
+          const core::SenderCentricSummary sender_parallel =
+              core::evaluate_sender_centric(nnf, points, parallel);
+          tier.sender_parallel_ms = ms_since(t0);
+          tier.sender_parallel_identical =
+              sender_parallel.per_edge == sender.per_edge;
 
           // SINR through the SinrAssessor directly for the power column and
           // the checksum, then the scalar-twin replay for bit-identity.
@@ -144,11 +166,30 @@ int main(int argc, char** argv) {
               sinr.max == sinr_scalar.max && sinr.total == sinr_scalar.total;
           checksums_ok = checksums_ok && tier.sinr_checksums_identical;
 
+          // kParallel scatters one receiver stripe per pool thread; every
+          // power bit must still equal the one-stripe kGrid scatter.
+          t0 = Clock::now();
+          const core::SinrSummary sinr_parallel =
+              sinr_assessor.assess(nodes, parallel);
+          tier.sinr_parallel_ms = ms_since(t0);
+          tier.sinr_parallel_identical =
+              std::equal(sinr.power.begin(), sinr.power.end(),
+                         sinr_parallel.power.begin(),
+                         sinr_parallel.power.end(),
+                         [](double a, double b) {
+                           return std::bit_cast<std::uint64_t>(a) ==
+                                  std::bit_cast<std::uint64_t>(b);
+                         }) &&
+              sinr_parallel.per_node == sinr.per_node;
+          parallel_ok = parallel_ok && tier.sinr_parallel_identical &&
+                        tier.sender_parallel_identical;
+
           tiers.push_back(tier);
         }
 
         io::Table table({"nodes", "recv max", "send max", "sinr max",
-                         "sinr max power", "recv ms", "send ms", "sinr ms"});
+                         "sinr max power", "recv ms", "send ms", "sinr ms",
+                         "send par ms", "sinr par ms"});
         for (const TierResult& t : tiers) {
           table.row()
               .cell(t.nodes)
@@ -158,11 +199,14 @@ int main(int argc, char** argv) {
               .cell(t.sinr_max_power, 6)
               .cell(t.receiver_ms, 1)
               .cell(t.sender_ms, 1)
-              .cell(t.sinr_ms, 1);
+              .cell(t.sinr_ms, 1)
+              .cell(t.sender_parallel_ms, 1)
+              .cell(t.sinr_parallel_ms, 1);
         }
         table.print(out);
         out << "deployment seed " << kSeed << ", density " << kDensity
-            << " nodes/unit^2, NNF topology; largest tier "
+            << " nodes/unit^2, NNF topology, " << pool_threads
+            << " pool threads for kParallel; largest tier "
             << (tiers.empty() ? 0 : tiers.back().nodes) << " nodes\n";
         for (const TierResult& t : tiers) {
           out << "sinr power checksum @" << t.nodes << ": "
@@ -222,6 +266,8 @@ int main(int argc, char** argv) {
             doc["receiver_ms"] = io::Json(t.receiver_ms);
             doc["sender_ms"] = io::Json(t.sender_ms);
             doc["sinr_ms"] = io::Json(t.sinr_ms);
+            doc["sender_parallel_ms"] = io::Json(t.sender_parallel_ms);
+            doc["sinr_parallel_ms"] = io::Json(t.sinr_parallel_ms);
             tier_docs.push_back(io::Json(std::move(doc)));
           }
           bench["tiers"] = io::Json(std::move(tier_docs));
@@ -249,6 +295,14 @@ int main(int argc, char** argv) {
           out << "ACCEPTANCE: simd/scalar sinr checksums identical PASS\n";
         } else {
           out << "ACCEPTANCE: simd/scalar sinr checksums identical FAIL\n";
+          ok = false;
+        }
+        if (parallel_ok && !tiers.empty()) {
+          out << "ACCEPTANCE: kParallel sinr power and sender coverage "
+                 "bit-identical to kGrid PASS\n";
+        } else {
+          out << "ACCEPTANCE: kParallel sinr power and sender coverage "
+                 "bit-identical to kGrid FAIL\n";
           ok = false;
         }
         if (tiers.size() < 2) {

@@ -150,7 +150,8 @@ NodeAdditionImpact Assessor::assess_addition(std::span<const geom::Vec2> points,
   NodeAdditionImpact impact;
 
   Scenario scenario(points, topology, options_);
-  impact.sender_before = evaluate_sender_centric(topology, points).max;
+  impact.sender_before =
+      evaluate_sender_centric(topology, points, options_).max;
 
   // The arrival as a mutation sequence: the node itself, plus (policy
   // permitting) the attachment edge to its nearest pre-existing neighbor.
@@ -180,7 +181,8 @@ NodeAdditionImpact Assessor::assess_addition(std::span<const geom::Vec2> points,
   for (std::size_t i = 0; i < length; ++i) scenario.apply(sequence[i]);
   const geom::PointSet mutated_points = scenario.points();
   impact.sender_after =
-      evaluate_sender_centric(scenario.topology(), mutated_points).max;
+      evaluate_sender_centric(scenario.topology(), mutated_points, options_)
+          .max;
   return impact;
 }
 

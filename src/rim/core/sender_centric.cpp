@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rim/geom/dynamic_grid.hpp"
+#include "rim/geom/grid_index.hpp"
+#include "rim/parallel/parallel_for.hpp"
 
 namespace rim::core {
 
@@ -56,50 +57,50 @@ SenderCentricSummary evaluate_sender_centric(const graph::Graph& topology,
 SenderCentricSummary evaluate_sender_centric(const graph::Graph& topology,
                                              std::span<const geom::Vec2> points,
                                              const EvalOptions& options) {
-  const std::size_t n = points.size();
-  if (options.resolve(n) == Strategy::kBrute || topology.edge_count() == 0) {
+  const Strategy strategy = options.resolve(points.size());
+  if (strategy == Strategy::kBrute || topology.edge_count() == 0) {
     return evaluate_sender_centric(topology, points);
   }
 
   // Grid path: cells keyed by the median edge length (the query disks are
   // edge-length disks, so this is the same heuristic the receiver-centric
   // grid applies to transmission disks).
+  const std::span<const graph::Edge> edges = topology.edges();
   std::vector<double> lengths2;
-  lengths2.reserve(topology.edge_count());
-  for (const graph::Edge e : topology.edges()) {
+  lengths2.reserve(edges.size());
+  for (const graph::Edge e : edges) {
     lengths2.push_back(geom::dist2(points[e.u], points[e.v]));
   }
   const auto mid =
       lengths2.begin() + static_cast<std::ptrdiff_t>(lengths2.size() / 2);
   std::nth_element(lengths2.begin(), mid, lengths2.end());
-  const double cell = std::max(std::sqrt(*mid), 1e-12);
+  const geom::GridIndex index(points, std::max(std::sqrt(*mid), 1e-12));
 
-  geom::DynamicGrid grid(cell);
-  grid.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    grid.insert(static_cast<NodeId>(v), points[v], 0.0);
-  }
-
-  // Per-edge union count D(u,|uv|) ∪ D(v,|uv|) via an epoch stamp: a node
-  // seen by either disk query of edge i carries stamp i+1 and counts once.
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<std::uint32_t> per_edge;
-  per_edge.reserve(topology.edge_count());
-  std::uint32_t epoch = 0;
-  for (const graph::Edge e : topology.edges()) {
-    ++epoch;
+  // Per-edge union count |D(u,|uv|) ∪ D(v,|uv|)|: all of D(u), then only
+  // the points of D(v) that fail D(u)'s own test dist2(w, u) <= r2, so a
+  // point in both disks counts once. The index is immutable and each edge
+  // writes only its own slot, so edges run in any order on any thread.
+  std::vector<std::uint32_t> per_edge(edges.size(), 0);
+  const auto cover = [&](std::size_t i) {
+    const graph::Edge e = edges[i];
     const geom::Vec2 pu = points[e.u];
     const geom::Vec2 pv = points[e.v];
     const double r2 = geom::dist2(pu, pv);
     std::uint32_t count = 0;
-    const auto visit = [&](NodeId w, geom::Vec2) {
-      if (stamp[w] == epoch) return;
-      stamp[w] = epoch;
+    index.for_each_in_disk_squared(pu, r2, [&](NodeId w) {
       if (w != e.u && w != e.v) ++count;
-    };
-    grid.for_each_in_disk_squared(pu, r2, visit);
-    grid.for_each_in_disk_squared(pv, r2, visit);
-    per_edge.push_back(count);
+    });
+    index.for_each_in_disk_squared(pv, r2, [&](NodeId w) {
+      if (w != e.u && w != e.v && !(geom::dist2(points[w], pu) <= r2)) {
+        ++count;
+      }
+    });
+    per_edge[i] = count;
+  };
+  if (strategy == Strategy::kParallel) {
+    parallel::parallel_for(0, edges.size(), cover);
+  } else {
+    for (std::size_t i = 0; i < edges.size(); ++i) cover(i);
   }
   return summarize(std::move(per_edge));
 }

@@ -45,11 +45,14 @@ struct SenderCentricSummary {
     const graph::Graph& topology, std::span<const geom::Vec2> points);
 
 /// Strategy-aware evaluation: options.resolve(n) == kBrute runs the O(E*n)
-/// pairwise loops above; any grid resolution queries a DynamicGrid keyed by
-/// the median edge length instead — two disk queries per edge with an
-/// epoch-stamp union dedup, O(E * disk-occupancy) total, which is what
-/// makes the sender-centric comparator feasible on million-node
-/// deployments (E23). Both paths count the identical exact predicate.
+/// pairwise loops above; kGrid and kParallel run one per-edge kernel over
+/// an immutable GridIndex keyed by the median edge length instead — all of
+/// D(u), plus the points of D(v) that fail D(u)'s test, O(E *
+/// disk-occupancy) total, which is what makes the sender-centric
+/// comparator feasible on million-node deployments (E23). kGrid runs the
+/// edges serially, kParallel with parallel_for on ThreadPool::shared()
+/// (never call it from inside a task of that pool, DESIGN.md §8). Every
+/// path counts the identical exact predicate, so per_edge is the same.
 [[nodiscard]] SenderCentricSummary evaluate_sender_centric(
     const graph::Graph& topology, std::span<const geom::Vec2> points,
     const EvalOptions& options);

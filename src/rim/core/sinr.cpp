@@ -4,10 +4,12 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "rim/core/radii.hpp"
 #include "rim/geom/dynamic_grid.hpp"
 #include "rim/geom/grid_kernels.hpp"
+#include "rim/parallel/parallel_for.hpp"
 #include "rim/simd/simd.hpp"
 
 namespace rim::core {
@@ -47,11 +49,100 @@ double pick_cell_size(std::span<const double> radii2, double cutoff_factor) {
   return std::max(std::sqrt(*mid), 1e-12);
 }
 
+/// Receivers grouped into x-stripes: stripe k owns
+/// members[begin[k], begin[k + 1]), in ascending id order.
+struct Stripes {
+  std::vector<NodeId> members;
+  std::vector<std::size_t> begin;
+};
+
+/// Cut the n receivers into \p count stripes at x-quantiles. Receiver v
+/// joins the stripe after the last cut point <= xs[v], so tied x values
+/// share a stripe and some stripes may stay empty (fewer receivers than
+/// stripes, or every receiver on one x). One stripe is the identity.
+Stripes cut_stripes(const double* xs, std::size_t n, std::size_t count) {
+  Stripes s;
+  s.begin.assign(count + 1, 0);
+  s.members.resize(n);
+  std::vector<std::size_t> stripe_of(n, 0);
+  if (count > 1 && n > 0) {
+    // Cut point k is the (k*n/count)-th smallest x; successive
+    // nth_element calls each partition only the suffix above the last cut.
+    std::vector<double> sorted(xs, xs + n);
+    std::vector<double> cuts;
+    cuts.reserve(count - 1);
+    auto lo = sorted.begin();
+    for (std::size_t k = 1; k < count; ++k) {
+      const auto nth =
+          sorted.begin() + static_cast<std::ptrdiff_t>(k * n / count);
+      std::nth_element(lo, nth, sorted.end());
+      cuts.push_back(*nth);
+      lo = nth;
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      stripe_of[v] = static_cast<std::size_t>(
+          std::upper_bound(cuts.begin(), cuts.end(), xs[v]) - cuts.begin());
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) ++s.begin[stripe_of[v] + 1];
+  for (std::size_t k = 0; k < count; ++k) s.begin[k + 1] += s.begin[k];
+  std::vector<std::size_t> cursor(s.begin.begin(), s.begin.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    s.members[cursor[stripe_of[v]]++] = static_cast<NodeId>(v);
+  }
+  return s;
+}
+
+/// Gather: one vectorised pass per receiver over the whole columns — the
+/// SINR shape of the receiver-centric SoA fast path.
+SinrSummary gather(const NodeSoA& nodes, const SinrOptions& sinr,
+                   bool use_scalar) {
+  const std::size_t n = nodes.size();
+  const double* xs = nodes.xs().data();
+  const double* ys = nodes.ys().data();
+  const double* ws = nodes.radii2().data();
+  const double cf = sinr.cutoff_factor();
+  const double kappa = sinr.kappa();
+  const double sig = sinr.significant_threshold();
+  std::vector<double> power(n, 0.0);
+  std::vector<std::uint32_t> counts(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const simd::SinrAccum acc =
+        use_scalar ? simd::sinr_gather_scalar(xs, ys, ws, n, xs[v], ys[v], cf,
+                                              kappa, sinr.half_alpha, sig)
+                   : simd::sinr_gather(xs, ys, ws, n, xs[v], ys[v], cf, kappa,
+                                       sinr.half_alpha, sig);
+    power[v] = acc.power;
+    counts[v] = static_cast<std::uint32_t>(acc.significant);
+  }
+  return SinrSummary::from_columns(std::move(power), std::move(counts));
+}
+
+/// Strategy resolution shared by the SIMD and scalar twins: kBrute
+/// gathers, kGrid scatters as one stripe, kParallel as one stripe per
+/// shared-pool thread.
 SinrSummary assess_impl(const NodeSoA& nodes, const EvalOptions& options,
                         bool use_scalar) {
+  const Strategy strategy = options.resolve(nodes.size());
+  if (strategy == Strategy::kBrute) {
+    return gather(nodes, options.sinr, use_scalar);
+  }
+  const std::size_t stripes =
+      strategy == Strategy::kParallel
+          ? parallel::ThreadPool::shared().thread_count()
+          : 1;
+  return detail::scatter_striped(nodes, options.sinr, stripes, use_scalar);
+}
+
+}  // namespace
+
+namespace detail {
+
+SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
+                            std::size_t stripes, bool use_scalar) {
   assert(nodes.dense());
-  const SinrOptions& sinr = options.sinr;
   assert(sinr.half_alpha >= 1);
+  assert(stripes >= 1);
   const std::size_t n = nodes.size();
   const double cf = sinr.cutoff_factor();
   const double kappa = sinr.kappa();
@@ -60,53 +151,67 @@ SinrSummary assess_impl(const NodeSoA& nodes, const EvalOptions& options,
   const double* xs = nodes.xs().data();
   const double* ys = nodes.ys().data();
   const double* ws = nodes.radii2().data();
+  const double cell = pick_cell_size(nodes.radii2(), cf);
+  const Stripes cut = cut_stripes(xs, n, stripes);
 
   std::vector<double> power(n, 0.0);
   std::vector<std::uint32_t> counts(n, 0);
-
-  if (options.resolve(n) == Strategy::kBrute) {
-    // Gather: one vectorised pass per receiver over the whole columns —
-    // the SINR shape of the receiver-centric SoA fast path.
-    for (std::size_t v = 0; v < n; ++v) {
-      const simd::SinrAccum acc =
-          use_scalar ? simd::sinr_gather_scalar(xs, ys, ws, n, xs[v], ys[v],
-                                                cf, kappa, h, sig)
-                     : simd::sinr_gather(xs, ys, ws, n, xs[v], ys[v], cf,
-                                         kappa, h, sig);
-      power[v] = acc.power;
-      counts[v] = static_cast<std::uint32_t>(acc.significant);
+  // One task per stripe. A stripe indexes only its own receivers, under
+  // stripe-local ids, and walks every transmitter in ascending id order,
+  // so each receiver still sums its contributions in transmitter order:
+  // the power bits do not depend on the stripe count. Emitted power
+  // kappa * w^h is rounded once here, exactly as the gather kernel rounds
+  // kappa * ipow(w, h) before its divide, so per-pair contributions are
+  // bit-identical across strategies; only the per-receiver accumulation
+  // order differs from the gather.
+  const auto scatter = [&](std::size_t k) {
+    const std::span<const NodeId> mine(cut.members.data() + cut.begin[k],
+                                       cut.begin[k + 1] - cut.begin[k]);
+    if (mine.empty()) return;
+    geom::DynamicGrid grid(cell);
+    grid.reserve(mine.size());
+    double x_lo = std::numeric_limits<double>::infinity();
+    double x_hi = -x_lo;
+    for (std::size_t l = 0; l < mine.size(); ++l) {
+      const NodeId v = mine[l];
+      grid.insert(static_cast<NodeId>(l), {xs[v], ys[v]}, ws[v]);
+      x_lo = std::min(x_lo, xs[v]);
+      x_hi = std::max(x_hi, xs[v]);
     }
-  } else {
-    // Scatter: serial pass over transmitters in ascending id order through
-    // a grid keyed by the cutoff disks (kGrid and kParallel both land
-    // here — determinism over parallelism, see the header). Emitted power
-    // kappa * w^h is rounded once here, exactly as the gather kernel
-    // rounds kappa * ipow(w, h) before its divide, so per-pair
-    // contributions are bit-identical across strategies; only the
-    // per-receiver accumulation order differs.
-    geom::DynamicGrid grid(pick_cell_size(nodes.radii2(), cf));
-    grid.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      grid.insert(static_cast<NodeId>(v), {xs[v], ys[v]}, ws[v]);
-    }
+    std::vector<double> local_power(mine.size(), 0.0);
+    std::vector<std::uint32_t> local_counts(mine.size(), 0);
     for (std::size_t t = 0; t < n; ++t) {
       const double w = ws[t];
       if (!(w > 0.0)) continue;
+      const double cutoff2 = w * cf;
+      // The grid's ulp-inflated walk radius: a receiver the kernel accepts
+      // has |x - xs[t]| <= reach, so a disk missing [x_lo, x_hi] by more
+      // than reach reaches no receiver of this stripe.
+      const double reach = std::sqrt(cutoff2) * (1.0 + 4e-16) +
+                           std::numeric_limits<double>::denorm_min();
+      if (x_lo - xs[t] > reach || xs[t] - x_hi > reach) continue;
       const double p = kappa * simd::detail::ipow(w, h);
       const geom::Vec2 center{xs[t], ys[t]};
       if (use_scalar) {
-        geom::accumulate_path_loss_scalar(grid, center, w * cf, p, h, sig,
-                                          power.data(), counts.data());
+        geom::accumulate_path_loss_scalar(grid, center, cutoff2, p, h, sig,
+                                          local_power.data(),
+                                          local_counts.data());
       } else {
-        geom::accumulate_path_loss(grid, center, w * cf, p, h, sig,
-                                   power.data(), counts.data());
+        geom::accumulate_path_loss(grid, center, cutoff2, p, h, sig,
+                                   local_power.data(), local_counts.data());
       }
     }
-  }
+    for (std::size_t l = 0; l < mine.size(); ++l) {
+      power[mine[l]] = local_power[l];
+      counts[mine[l]] = local_counts[l];
+    }
+  };
+  parallel::parallel_for(0, stripes, scatter, parallel::ThreadPool::shared(),
+                         /*grain=*/1);
   return SinrSummary::from_columns(std::move(power), std::move(counts));
 }
 
-}  // namespace
+}  // namespace detail
 
 double SinrOptions::cutoff_factor() const {
   // x^(1/h) with x = beta * margin / far_field_rel: repeated IEEE sqrt

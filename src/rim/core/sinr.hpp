@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,9 +34,11 @@
 /// *significant interferers* — transmitters contributing at least
 /// significant_rel * noise — an integer per-node measure directly
 /// comparable with the disk models' covering-disk counts, and invariant
-/// across evaluation strategies (the power itself is strategy-invariant
-/// only up to accumulation order; each strategy's SIMD/scalar twins are
-/// bit-identical, which the checksum tests pin).
+/// across evaluation strategies. The power is bit-identical between kGrid
+/// and kParallel (both sum each receiver in ascending transmitter order)
+/// and agrees with the kBrute gather up to accumulation order; every
+/// path's SIMD/scalar twins are bit-identical, which the checksum tests
+/// pin.
 
 namespace rim::core {
 
@@ -70,10 +73,14 @@ class SinrAssessor {
   /// Assess \p nodes (dense ids) under options.sinr. Strategy resolution:
   /// kBrute gathers per receiver over the whole SoA columns (exact O(n^2)
   /// shape of the receiver-centric fast path); kGrid and kParallel scatter
-  /// per transmitter through a DynamicGrid keyed by the median cutoff
-  /// radius — serial over transmitters in ascending id order, which fixes
-  /// the accumulation order into every receiver (the SINR grid path takes
-  /// no thread pool; determinism over parallelism).
+  /// per transmitter through DynamicGrids keyed by the median cutoff
+  /// radius. The scatter cuts the receivers into x-stripes — one for
+  /// kGrid, one per ThreadPool::shared() thread for kParallel — and each
+  /// stripe walks every transmitter in ascending id order, so every
+  /// receiver sums its contributions in the same order for any stripe
+  /// count and kParallel is bit-identical to kGrid. kParallel runs
+  /// parallel_for on the shared pool: never call it from inside a task of
+  /// that pool (DESIGN.md §8).
   [[nodiscard]] SinrSummary assess(const NodeSoA& nodes,
                                    const EvalOptions& options) const;
   [[nodiscard]] SinrSummary assess(const NodeSoA& nodes) const {
@@ -104,5 +111,18 @@ class SinrAssessor {
  private:
   EvalOptions options_;
 };
+
+namespace detail {
+
+/// The grid scatter behind kGrid (\p stripes = 1) and kParallel (one
+/// stripe per shared-pool thread), with the stripe count explicit so the
+/// tests can pin bit-identity across counts the host's pool would not
+/// reach. \p use_scalar selects the scalar kernel twins.
+[[nodiscard]] SinrSummary scatter_striped(const NodeSoA& nodes,
+                                          const SinrOptions& sinr,
+                                          std::size_t stripes,
+                                          bool use_scalar);
+
+}  // namespace detail
 
 }  // namespace rim::core

@@ -87,10 +87,12 @@ std::size_t accumulate_covered(const DynamicGrid& grid, Vec2 center,
 /// and increments significant[v] when that contribution is >= \p sig. The
 /// d2 > 0 test excludes the transmitter's own lane (and coincident nodes,
 /// the kernel-layer convention of simd::sinr_scatter_scalar), so no
-/// exclude id is needed. Serial by design: the caller owns determinism by
-/// scattering transmitters in ascending id order, which fixes the add
-/// order into every power_out[v] — each node occupies exactly one grid
-/// lane, so one transmitter touches each receiver at most once. Returns
+/// exclude id is needed. Each node occupies exactly one grid lane, so one
+/// call touches each receiver at most once and the caller fixes the add
+/// order into every power_out[v] by the order of its calls. The SINR
+/// assessor calls it in ascending transmitter id over one grid per
+/// receiver stripe, with stripes on different threads writing disjoint
+/// columns — the same per-receiver order for any stripe count. Returns
 /// cells visited.
 std::size_t accumulate_path_loss(const DynamicGrid& grid, Vec2 center,
                                  double cutoff2, double power, int half_alpha,

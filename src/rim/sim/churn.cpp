@@ -50,7 +50,8 @@ ChurnTrace run_churn(const ChurnConfig& config, const topology::Builder& builder
     step.added = added;
     step.node_count = points.size();
     step.receiver_max = scenario.max_interference();
-    step.sender_max = core::evaluate_sender_centric(topo, points).max;
+    step.sender_max =
+        core::evaluate_sender_centric(topo, points, core::EvalOptions{}).max;
     trace.steps.push_back(step);
   };
   record(true);  // initial state

@@ -14,6 +14,7 @@
 #include "rim/core/radii.hpp"
 #include "rim/graph/graph.hpp"
 #include "rim/sim/random_deployment.hpp"
+#include "rim/sim/rng.hpp"
 #include "rim/simd/simd.hpp"
 #include "rim/topology/nearest_neighbor_forest.hpp"
 
@@ -22,6 +23,8 @@
 //    power bit patterns, same checksum, same significant counts;
 //  * the significant-interferer counts are strategy-invariant integers
 //    (brute gather and grid scatter see identical per-pair contributions);
+//  * the grid scatter's power bits do not depend on its receiver-stripe
+//    count, so kGrid, kParallel and every stripe count agree bit for bit;
 //  * eligibility edges behave: coincident nodes drop out, radius-0 nodes
 //    do not transmit, the cutoff boundary is inclusive, and denormal
 //    distances stay deterministic (both twins agree even when the
@@ -38,6 +41,16 @@ using rim::core::SinrOptions;
 using rim::core::SinrSummary;
 using rim::core::Strategy;
 
+NodeSoA store_of(const rim::geom::PointSet& points,
+                 const std::vector<double>& radii2) {
+  NodeSoA nodes;
+  nodes.reserve(points.size());
+  for (std::size_t v = 0; v < points.size(); ++v) {
+    nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
+  }
+  return nodes;
+}
+
 NodeSoA deployment_store(std::size_t n, std::uint64_t seed) {
   // A seeded uniform deployment with NNF-derived radii — the same node
   // family E23 runs, scaled down.
@@ -48,14 +61,8 @@ NodeSoA deployment_store(std::size_t n, std::uint64_t seed) {
           seed)
           .generate();
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  const std::vector<double> radii2 =
-      rim::core::transmission_radii_squared(forest, points);
-  NodeSoA nodes;
-  nodes.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
-  }
-  return nodes;
+  return store_of(points,
+                  rim::core::transmission_radii_squared(forest, points));
 }
 
 void expect_bit_identical(const SinrSummary& a, const SinrSummary& b) {
@@ -126,15 +133,92 @@ TEST(SinrAssessor, SignificantCountsIdenticalBruteVsGrid) {
   }
 }
 
-TEST(SinrAssessor, ParallelStrategyMatchesGrid) {
-  // kParallel resolves to the same serial grid scatter (determinism over
-  // parallelism — the accumulation order into each receiver is the
-  // transmitter id order either way).
-  const NodeSoA nodes = deployment_store(200, 11);
+/// Seeded points with independent radii in [0.05, 1.5) — or 0 for every
+/// zero_every-th node when zero_every > 0.
+NodeSoA random_store(const rim::geom::PointSet& points, std::uint64_t seed,
+                     std::size_t zero_every = 0) {
+  rim::sim::Rng rng(seed);
+  std::vector<double> radii2(points.size());
+  for (std::size_t v = 0; v < points.size(); ++v) {
+    const double r = rng.uniform(0.05, 1.5);
+    radii2[v] = zero_every > 0 && v % zero_every == 0 ? 0.0 : r * r;
+  }
+  return store_of(points, radii2);
+}
+
+/// The scatter at every stripe count must reproduce the kGrid power bits
+/// (one stripe, SIMD) and the kGrid scalar twin, in both kernel flavours,
+/// and kParallel through the public API must match too.
+void expect_stripe_invariant(const NodeSoA& nodes) {
   const SinrAssessor assessor;
+  const EvalOptions grid = EvalOptions{}.with_strategy(Strategy::kGrid);
+  const SinrSummary reference = assessor.assess(nodes, grid);
+  expect_bit_identical(reference, assessor.assess_scalar(nodes, grid));
   expect_bit_identical(
-      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kGrid)),
+      reference,
       assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kParallel)));
+  expect_bit_identical(
+      reference, assessor.assess_scalar(
+                     nodes, EvalOptions{}.with_strategy(Strategy::kParallel)));
+  for (const std::size_t stripes : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "stripes " << stripes);
+    for (const bool scalar : {false, true}) {
+      expect_bit_identical(reference, rim::core::detail::scatter_striped(
+                                          nodes, SinrOptions{}, stripes,
+                                          scalar));
+    }
+  }
+}
+
+TEST(SinrAssessor, ParallelStrategyMatchesGrid) {
+  for (const std::uint64_t seed : {11ull, 12ull, 97ull}) {
+    expect_stripe_invariant(deployment_store(300, seed));
+  }
+  // Independent radii reach across several stripes at once.
+  expect_stripe_invariant(random_store(
+      rim::sim::RandomDeployment(
+          rim::sim::RandomDeployment::Params{}.with_nodes(257).with_side(4.0),
+          5)
+          .generate(),
+      6));
+}
+
+TEST(SinrAssessor, StripedScatterBitIdenticalWithAllNodesOnOneX) {
+  // Every cut point is the same x: all receivers share one stripe and the
+  // other stripes stay empty.
+  rim::sim::Rng rng(21);
+  rim::geom::PointSet points;
+  for (int i = 0; i < 120; ++i) points.push_back({1.5, rng.uniform(0.0, 8.0)});
+  expect_stripe_invariant(random_store(points, 22));
+}
+
+TEST(SinrAssessor, StripedScatterBitIdenticalWithCoincidentNodes) {
+  rim::geom::PointSet points =
+      rim::sim::RandomDeployment(
+          rim::sim::RandomDeployment::Params{}.with_nodes(150).with_side(3.0),
+          23)
+          .generate();
+  for (std::size_t v = 0; v < 150; v += 3) points.push_back(points[v]);
+  expect_stripe_invariant(random_store(points, 24));
+}
+
+TEST(SinrAssessor, StripedScatterBitIdenticalWithZeroRadiusNodes) {
+  expect_stripe_invariant(random_store(
+      rim::sim::RandomDeployment(
+          rim::sim::RandomDeployment::Params{}.with_nodes(200).with_side(3.0),
+          25)
+          .generate(),
+      26, /*zero_every=*/3));
+}
+
+TEST(SinrAssessor, StripedScatterBitIdenticalWithFewerNodesThanStripes) {
+  for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+    rim::geom::PointSet points;
+    for (std::size_t v = 0; v < n; ++v) {
+      points.push_back({0.3 * static_cast<double>(v), 0.1});
+    }
+    expect_stripe_invariant(random_store(points, 27 + n));
+  }
 }
 
 // --- Model plumbing through the Assessor facade. ---
@@ -155,12 +239,8 @@ TEST(SinrAssessor, TopologyOverloadMatchesNodeSoAPath) {
           21)
           .generate();
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  const std::vector<double> radii2 =
-      rim::core::transmission_radii_squared(forest, points);
-  NodeSoA nodes;
-  for (std::size_t v = 0; v < points.size(); ++v) {
-    nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
-  }
+  const NodeSoA nodes = store_of(
+      points, rim::core::transmission_radii_squared(forest, points));
   const SinrAssessor assessor;
   expect_bit_identical(assessor.assess(forest, points), assessor.assess(nodes));
 }

@@ -9,22 +9,29 @@ them aside, re-runs the benches (which overwrite the files in the working
 directory), and then runs this gate.
 
 Rules:
+  * Every "*_checksum" field, at any depth of the bench section (E23 keeps
+    one per tier), must equal its baseline exactly. Checksums are
+    bit-identity contracts, not timings, so they are compared whatever host
+    either side ran on; a checksum the fresh run did not produce (a smaller
+    tier set) is SKIPPED.
   * Only throughput-shaped fields are gated — numeric keys containing
     "speedup", "per_second", or "throughput". Higher is better; a fresh
     value more than --threshold (default 25%) below baseline fails.
-  * Same-host guard: a file is compared only when baseline and fresh agree
-    on hardware_threads and build_type. A mismatch means the numbers were
-    measured on different host shapes and the comparison would be noise —
-    the file is reported as SKIPPED, never failed. (Committed baselines
-    from a 1-core container vs a multi-core runner land here by design.)
-  * Fields whose baseline is <= 0, or files whose bench section sets
-    speedup_skipped, are skipped — the baseline recorded "not measured".
+  * Same-host guard: throughput fields are compared only when baseline and
+    fresh agree on hardware_threads and build_type. A mismatch means the
+    numbers were measured on different host shapes and the comparison would
+    be noise — the file's throughput rows are reported as SKIPPED, never
+    failed. (Baselines from a 1-core container vs a multi-core runner land
+    here by design.)
+  * Throughput fields whose baseline is <= 0, or files whose bench section
+    sets speedup_skipped, are skipped — the baseline recorded "not
+    measured".
   * git_sha differences are expected (that is the point) and reported
     informationally.
 
 The human-readable diff lands in --report (markdown, uploaded as a CI
-artifact) and on stdout. Exit status: 0 = no regression, 1 = regression,
-2 = usage/IO error.
+artifact) and on stdout. Exit status: 0 = no regression, 1 = a throughput
+regression or a checksum mismatch, 2 = usage/IO error.
 """
 
 from __future__ import annotations
@@ -56,8 +63,34 @@ def gated_fields(section: dict) -> dict[str, float]:
     return fields
 
 
+def checksum_fields(value, path: str = "") -> dict[str, object]:
+    """Every "*_checksum" leaf under value, keyed by its path
+    ("tiers[1].sinr_power_checksum")."""
+    fields = {}
+    if isinstance(value, dict):
+        for key, child in value.items():
+            child_path = f"{path}.{key}" if path else key
+            if key.endswith("_checksum") and not isinstance(child, (dict, list)):
+                fields[child_path] = child
+            else:
+                fields.update(checksum_fields(child, child_path))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            fields.update(checksum_fields(child, f"{path}[{i}]"))
+    return fields
+
+
 def compare_file(name: str, baseline: dict, fresh: dict, threshold: float):
     """Yield (field, baseline, fresh, delta_pct, status) rows for one file."""
+    fresh_checksums = checksum_fields(fresh)
+    for key, base_value in sorted(checksum_fields(baseline).items()):
+        if key not in fresh_checksums:
+            yield (key, base_value, None, None, "SKIPPED: not in fresh run")
+        elif fresh_checksums[key] == base_value:
+            yield (key, base_value, fresh_checksums[key], None, "OK")
+        else:
+            yield (key, base_value, fresh_checksums[key], None,
+                   "FAIL: checksum differs")
     for key in STAMP_KEYS:
         if baseline.get(key) != fresh.get(key):
             yield (f"({key})", baseline.get(key), fresh.get(key), None,
@@ -145,8 +178,9 @@ def main() -> int:
                 failed = True
         lines.append("")
 
-    verdict = ("REGRESSION: at least one gated field dropped past the threshold"
-               if failed else "no regressions past the threshold")
+    verdict = ("REGRESSION: a checksum differs or a gated field dropped past "
+               "the threshold" if failed else
+               "checksums identical, no regressions past the threshold")
     lines.append(verdict)
     report = "\n".join(lines) + "\n"
     print(report, end="")
