@@ -90,7 +90,8 @@ struct Cluster {
            [service, killed_flag]() -> std::unique_ptr<svc::Transport> {
              if (killed_flag->load()) return nullptr;
              return std::make_unique<KillableTransport>(*service, killed_flag);
-           }});
+           },
+           nullptr});
     }
     router = std::make_unique<shard::Router>(std::move(config));
   }

@@ -1,7 +1,9 @@
 #include "rim/core/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <string_view>
 
 namespace rim::core {
 
@@ -34,6 +36,8 @@ double bits_double(std::uint64_t bits) {
 
 class ByteWriter {
  public:
+  explicit ByteWriter(std::size_t capacity = 0) { out_.reserve(capacity); }
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
@@ -95,9 +99,13 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Serialise everything except the trailing checksum.
+/// Serialise everything except the trailing checksum (its 8 bytes are
+/// reserved, so to_bytes() appends them without reallocating).
 std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
-  ByteWriter w;
+  std::size_t size = 82 + 28 * s.points.size() + 8;  // header, nodes, trailer
+  for (const auto& neighbors : s.adjacency) size += 4 * neighbors.size();
+  if (s.cache_valid) size += 4 * s.interference.size();
+  ByteWriter w(size);
   for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(Snapshot::kVersion);
   w.u32((s.cache_valid ? 1u : 0u) | (s.grid_built ? 2u : 0u));
@@ -129,6 +137,103 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
 bool decode_fail(std::string& error, const std::string& what) {
   error = "snapshot decode error: " + what;
   return false;
+}
+
+constexpr const char* kJsonFormat = "rim-snapshot";
+
+constexpr char kBase64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+constexpr std::uint8_t kNotBase64 = 0xFF;
+
+/// Alphabet character -> 6-bit value; kNotBase64 for everything else,
+/// including the '=' pad.
+constexpr std::array<std::uint8_t, 256> kBase64Values = [] {
+  std::array<std::uint8_t, 256> values{};
+  values.fill(kNotBase64);
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    values[static_cast<unsigned char>(kBase64Alphabet[i])] = i;
+  }
+  return values;
+}();
+
+/// RFC 4648 base64 with '=' padding.
+std::string base64_encode(std::span<const std::uint8_t> bytes) {
+  std::string out(4 * ((bytes.size() + 2) / 3), '=');
+  // Raw pointers: a char store may alias the string's own members, so
+  // indexing through `out` would reload them on every write.
+  const std::uint8_t* in = bytes.data();
+  char* o = out.data();
+  std::size_t i = 0;
+  for (; i + 3 <= bytes.size(); i += 3) {
+    const std::uint32_t word = static_cast<std::uint32_t>(in[i]) << 16 |
+                               static_cast<std::uint32_t>(in[i + 1]) << 8 |
+                               in[i + 2];
+    *o++ = kBase64Alphabet[word >> 18];
+    *o++ = kBase64Alphabet[(word >> 12) & 63];
+    *o++ = kBase64Alphabet[(word >> 6) & 63];
+    *o++ = kBase64Alphabet[word & 63];
+  }
+  if (const std::size_t rest = bytes.size() - i; rest > 0) {
+    const std::uint32_t word =
+        static_cast<std::uint32_t>(in[i]) << 16 |
+        (rest == 2 ? static_cast<std::uint32_t>(in[i + 1]) << 8 : 0);
+    *o++ = kBase64Alphabet[word >> 18];
+    *o++ = kBase64Alphabet[(word >> 12) & 63];
+    if (rest == 2) *o = kBase64Alphabet[(word >> 6) & 63];
+  }
+  return out;
+}
+
+/// Strict inverse of base64_encode: the length is a multiple of 4, every
+/// character before the (at most two) trailing '=' is in the alphabet, and
+/// the bits the padding discards are zero, so exactly one text decodes to
+/// any byte string.
+bool base64_decode(std::string_view text, std::vector<std::uint8_t>& out,
+                   std::string& error) {
+  if (text.size() % 4 != 0) {
+    return decode_fail(error, "base64 length " + std::to_string(text.size()) +
+                                  " is not a multiple of 4");
+  }
+  std::size_t pad = 0;
+  while (pad < 2 && pad < text.size() && text[text.size() - 1 - pad] == '=') {
+    ++pad;
+  }
+  const std::size_t chars = text.size() - pad;  // 4k, 4k+2 or 4k+3
+  const auto value = [&](std::size_t at) -> std::uint32_t {
+    return kBase64Values[static_cast<unsigned char>(text[at])];
+  };
+  // Called once a lookup came back kNotBase64 somewhere in [from, to).
+  const auto bad_character = [&](std::size_t from, std::size_t to) {
+    std::size_t at = from;
+    while (at + 1 < to && value(at) != kNotBase64) ++at;
+    return decode_fail(error, std::string(text[at] == '='
+                                              ? "base64 '=' before the end"
+                                              : "non-base64 character") +
+                                  " at offset " + std::to_string(at));
+  };
+  out.resize(chars * 3 / 4);
+  std::uint8_t* o = out.data();  // see base64_encode on aliasing
+  std::size_t i = 0;
+  for (; i + 4 <= chars; i += 4) {
+    const std::uint32_t a = value(i), b = value(i + 1), c = value(i + 2),
+                        d = value(i + 3);
+    if ((a | b | c | d) > 63) return bad_character(i, i + 4);
+    const std::uint32_t word = a << 18 | b << 12 | c << 6 | d;
+    *o++ = static_cast<std::uint8_t>(word >> 16);
+    *o++ = static_cast<std::uint8_t>(word >> 8);
+    *o++ = static_cast<std::uint8_t>(word);
+  }
+  if (pad == 0) return true;
+  const std::uint32_t a = value(i), b = value(i + 1),
+                      c = pad == 1 ? value(i + 2) : 0;
+  if ((a | b | c) > 63) return bad_character(i, chars);
+  const std::uint32_t word = a << 18 | b << 12 | c << 6;
+  if ((word & (pad == 1 ? 0xFFu : 0xFFFFu)) != 0) {
+    return decode_fail(error, "non-zero base64 pad bits");
+  }
+  *o++ = static_cast<std::uint8_t>(word >> 16);
+  if (pad == 1) *o = static_cast<std::uint8_t>(word >> 8);
+  return true;
 }
 
 }  // namespace
@@ -331,205 +436,49 @@ bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
 
 io::Json Snapshot::to_json() const {
   io::JsonObject o;
-  o["format"] = io::Json("rim-snapshot");
+  o["bytes"] = io::Json(base64_encode(to_bytes()));
+  o["format"] = io::Json(kJsonFormat);
   o["version"] = io::Json(kVersion);
-  o["cache_valid"] = io::Json(cache_valid);
-  o["grid_built"] = io::Json(grid_built);
-  o["cell_size_bits"] = io::Json(double_to_hex_bits(cell_size));
-  o["node_count"] = io::Json(points.size());
-  o["edge_count"] = io::Json(edge_count);
-  {
-    io::JsonObject opt;
-    opt["strategy"] = io::Json(static_cast<unsigned>(options.strategy));
-    opt["execution"] = io::Json(static_cast<unsigned>(options.execution));
-    opt["auto_brute_max_nodes"] = io::Json(options.auto_brute_max_nodes);
-    opt["auto_grid_max_nodes"] = io::Json(options.auto_grid_max_nodes);
-    opt["max_touched_fraction_bits"] =
-        io::Json(double_to_hex_bits(options.max_touched_fraction));
-    opt["touched_floor"] = io::Json(options.touched_floor);
-    opt["batch_min_parallel_tasks"] =
-        io::Json(options.batch_min_parallel_tasks);
-    o["options"] = io::Json(std::move(opt));
-  }
-  {
-    io::JsonArray points_bits;
-    points_bits.reserve(points.size());
-    for (const geom::Vec2 p : points) {
-      points_bits.emplace_back(double_to_hex_bits(p.x) +
-                               double_to_hex_bits(p.y));
-    }
-    o["points_bits"] = io::Json(std::move(points_bits));
-  }
-  {
-    io::JsonArray radii_bits;
-    radii_bits.reserve(radii2.size());
-    for (const double r2 : radii2) {
-      radii_bits.emplace_back(double_to_hex_bits(r2));
-    }
-    o["radii2_bits"] = io::Json(std::move(radii_bits));
-  }
-  {
-    io::JsonArray adjacency_rows;
-    adjacency_rows.reserve(adjacency.size());
-    for (const auto& neighbors : adjacency) {
-      io::JsonArray row;
-      row.reserve(neighbors.size());
-      for (const NodeId v : neighbors) row.emplace_back(v);
-      adjacency_rows.emplace_back(std::move(row));
-    }
-    o["adjacency"] = io::Json(std::move(adjacency_rows));
-  }
-  if (cache_valid) {
-    io::JsonArray cache;
-    cache.reserve(interference.size());
-    for (const std::uint32_t i : interference) cache.emplace_back(i);
-    o["interference"] = io::Json(std::move(cache));
-  }
-  o["payload_checksum"] = io::Json(double_to_hex_bits(
-      bits_double(payload_checksum())));
   return io::Json(std::move(o));
 }
 
 bool Snapshot::from_json(const io::Json& json, Snapshot& out,
                          std::string& error) {
+  std::uint64_t checksum = 0;
+  return from_json(json, out, checksum, error);
+}
+
+bool Snapshot::from_json(const io::Json& json, Snapshot& out,
+                         std::uint64_t& checksum, std::string& error) {
   out = Snapshot{};
   const auto* format = json.find("format");
   if (format == nullptr || format->as_string() == nullptr ||
-      *format->as_string() != "rim-snapshot") {
+      *format->as_string() != kJsonFormat) {
     return decode_fail(error, "not a rim-snapshot document");
   }
   const auto* version = json.find("version");
-  if (version == nullptr ||
-      static_cast<std::uint32_t>(version->as_number(0)) != kVersion) {
+  if (version == nullptr || !version->is_number() ||
+      version->as_number() != static_cast<double>(kVersion)) {
     return decode_fail(error, "unsupported or missing version");
   }
-  const auto read_hex_double = [&](const io::Json* node, double& value) {
-    return node != nullptr && node->as_string() != nullptr &&
-           double_from_hex_bits(*node->as_string(), value);
-  };
-  const auto* cache_valid = json.find("cache_valid");
-  const auto* grid_built = json.find("grid_built");
-  if (cache_valid == nullptr || !cache_valid->is_bool() ||
-      grid_built == nullptr || !grid_built->is_bool()) {
-    return decode_fail(error, "missing cache_valid/grid_built flags");
+  const auto* encoded = json.find("bytes");
+  if (encoded == nullptr || encoded->as_string() == nullptr) {
+    return decode_fail(
+        error, json.find("points_bits") != nullptr
+                   ? "per-field snapshot document (points_bits, "
+                     "radii2_bits, ...) is no longer read: the JSON form is "
+                     "base64 'bytes' of the binary snapshot"
+                   : "missing base64 'bytes' string");
   }
-  out.cache_valid = cache_valid->as_bool();
-  out.grid_built = grid_built->as_bool();
-  if (!read_hex_double(json.find("cell_size_bits"), out.cell_size)) {
-    return decode_fail(error, "missing or malformed cell_size_bits");
+  std::vector<std::uint8_t> bytes;
+  if (!base64_decode(*encoded->as_string(), bytes, error) ||
+      !from_bytes(bytes, out, error)) {
+    return false;
   }
-  const auto* edge_count = json.find("edge_count");
-  if (edge_count == nullptr || !edge_count->is_number()) {
-    return decode_fail(error, "missing edge_count");
-  }
-  out.edge_count = static_cast<std::size_t>(edge_count->as_number());
-  const auto* opt = json.find("options");
-  if (opt == nullptr || !opt->is_object()) {
-    return decode_fail(error, "missing options object");
-  }
-  const double strategy = opt->find("strategy") != nullptr
-                              ? opt->find("strategy")->as_number(-1)
-                              : -1;
-  if (strategy < 0 ||
-      strategy > static_cast<double>(
-                     static_cast<std::uint8_t>(Strategy::kAuto))) {
-    return decode_fail(error, "invalid options.strategy");
-  }
-  out.options.with_strategy(
-      static_cast<Strategy>(static_cast<std::uint8_t>(strategy)));
-  const double execution = opt->find("execution") != nullptr
-                               ? opt->find("execution")->as_number(-1)
-                               : -1;
-  if (execution < 0 ||
-      execution > static_cast<double>(
-                      static_cast<std::uint8_t>(Execution::kSpeculative))) {
-    return decode_fail(error, "invalid options.execution");
-  }
-  out.options.with_execution(
-      static_cast<Execution>(static_cast<std::uint8_t>(execution)));
-  const auto read_size = [&](const char* key, std::size_t& value) {
-    const io::Json* node = opt->find(key);
-    if (node == nullptr || !node->is_number()) return false;
-    value = static_cast<std::size_t>(node->as_number());
-    return true;
-  };
-  if (!read_size("auto_brute_max_nodes", out.options.auto_brute_max_nodes) ||
-      !read_size("auto_grid_max_nodes", out.options.auto_grid_max_nodes) ||
-      !read_size("touched_floor", out.options.touched_floor) ||
-      !read_size("batch_min_parallel_tasks",
-                 out.options.batch_min_parallel_tasks) ||
-      !read_hex_double(opt->find("max_touched_fraction_bits"),
-                       out.options.max_touched_fraction)) {
-    return decode_fail(error, "missing or malformed options fields");
-  }
-  const auto* points_bits = json.find("points_bits");
-  if (points_bits == nullptr || !points_bits->is_array()) {
-    return decode_fail(error, "missing points_bits");
-  }
-  out.points.reserve(points_bits->as_array()->size());
-  for (const io::Json& entry : *points_bits->as_array()) {
-    const std::string* s = entry.as_string();
-    geom::Vec2 p;
-    if (s == nullptr || s->size() != 32 ||
-        !double_from_hex_bits(s->substr(0, 16), p.x) ||
-        !double_from_hex_bits(s->substr(16, 16), p.y)) {
-      return decode_fail(error, "malformed points_bits entry");
-    }
-    out.points.push_back(p);
-  }
-  const auto* node_count = json.find("node_count");
-  if (node_count == nullptr ||
-      static_cast<std::size_t>(node_count->as_number()) != out.points.size()) {
-    return decode_fail(error, "node_count disagrees with points_bits");
-  }
-  const auto* radii_bits = json.find("radii2_bits");
-  if (radii_bits == nullptr || !radii_bits->is_array()) {
-    return decode_fail(error, "missing radii2_bits");
-  }
-  out.radii2.reserve(radii_bits->as_array()->size());
-  for (const io::Json& entry : *radii_bits->as_array()) {
-    double r2 = 0.0;
-    if (!read_hex_double(&entry, r2)) {
-      return decode_fail(error, "malformed radii2_bits entry");
-    }
-    out.radii2.push_back(r2);
-  }
-  const auto* adjacency = json.find("adjacency");
-  if (adjacency == nullptr || !adjacency->is_array()) {
-    return decode_fail(error, "missing adjacency");
-  }
-  out.adjacency.reserve(adjacency->as_array()->size());
-  for (const io::Json& row : *adjacency->as_array()) {
-    if (!row.is_array()) return decode_fail(error, "malformed adjacency row");
-    std::vector<NodeId> neighbors;
-    neighbors.reserve(row.as_array()->size());
-    for (const io::Json& v : *row.as_array()) {
-      if (!v.is_number()) {
-        return decode_fail(error, "malformed adjacency entry");
-      }
-      neighbors.push_back(static_cast<NodeId>(v.as_number()));
-    }
-    out.adjacency.push_back(std::move(neighbors));
-  }
-  if (out.cache_valid) {
-    const auto* interference = json.find("interference");
-    if (interference == nullptr || !interference->is_array()) {
-      return decode_fail(error, "missing interference (cache_valid set)");
-    }
-    out.interference.reserve(interference->as_array()->size());
-    for (const io::Json& v : *interference->as_array()) {
-      if (!v.is_number()) {
-        return decode_fail(error, "malformed interference entry");
-      }
-      out.interference.push_back(static_cast<std::uint32_t>(v.as_number()));
-    }
-  }
-  if (!out.validate(error)) return false;
-  double stored_checksum = 0.0;
-  if (!read_hex_double(json.find("payload_checksum"), stored_checksum) ||
-      double_bits(stored_checksum) != out.payload_checksum()) {
-    return decode_fail(error, "payload checksum mismatch (tampered document)");
-  }
+  // from_bytes verified the trailer against the payload, so it is the
+  // payload checksum without re-encoding \p out.
+  ByteReader trailer(std::span<const std::uint8_t>(bytes).last(8));
+  (void)trailer.u64(checksum);
   return true;
 }
 

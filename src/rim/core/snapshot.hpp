@@ -22,17 +22,18 @@
 /// (sim::FaultPlan): snapshot before a batch, crash anywhere inside it,
 /// restore, replay, and the end state must equal the uninjected run's.
 ///
-/// Two encodings share one logical payload:
-///  - to_bytes()/from_bytes(): compact native binary. Doubles are bit-cast
-///    to uint64 so round-trips are exact, including -0.0 and subnormals.
-///  - to_json()/from_json(): an io::Json document with doubles as 16-digit
-///    hex bit patterns (human-inspectable structure, machine-exact values).
+/// One codec, two containers:
+///  - to_bytes()/from_bytes(): the canonical binary encoding. Doubles are
+///    bit-cast to uint64 so round-trips are exact, including -0.0 and
+///    subnormals. It ends with an FNV-1a checksum over the payload.
+///  - to_json()/from_json(): a thin envelope for the wire,
+///    {"bytes":"<base64 of to_bytes()>","format":"rim-snapshot",
+///    "version":2}.
 ///
-/// Both end with an FNV-1a checksum over the canonical binary payload;
-/// decoding verifies magic, version, checksum, and structural consistency
+/// Decoding verifies checksum, magic, version, and structural consistency
 /// (array sizes, id ranges, adjacency symmetry) and fails with a clear
-/// error message on any mismatch — truncated or corrupted snapshots are
-/// rejected, never undefined behavior.
+/// error message on any mismatch — truncated, corrupted, or non-canonical
+/// base64 snapshots are rejected, never undefined behavior.
 
 namespace rim::core {
 
@@ -67,17 +68,23 @@ struct Snapshot {
   [[nodiscard]] static bool from_bytes(std::span<const std::uint8_t> bytes,
                                        Snapshot& out, std::string& error);
 
-  /// JSON document form (doubles as hex bit patterns; includes the binary
-  /// payload checksum, so tampering with either form is detected).
+  /// JSON envelope: {"bytes": base64(to_bytes()), "format", "version"}.
   [[nodiscard]] io::Json to_json() const;
 
-  /// Parse the to_json() form back. Validates structure and re-derives the
-  /// binary checksum against the embedded one.
+  /// Parse the to_json() form back: a strict base64 decode of "bytes"
+  /// followed by from_bytes(). The retired per-field document (with
+  /// "points_bits", ...) is rejected with an error that says so.
   [[nodiscard]] static bool from_json(const io::Json& json, Snapshot& out,
                                       std::string& error);
 
+  /// from_json() that also returns the checksum it verified, which equals
+  /// out.payload_checksum() but costs no re-encode.
+  [[nodiscard]] static bool from_json(const io::Json& json, Snapshot& out,
+                                      std::uint64_t& checksum,
+                                      std::string& error);
+
   /// FNV-1a over the canonical binary payload (excluding the trailing
-  /// checksum field itself) — the value embedded by both encoders.
+  /// checksum field itself) — the trailer to_bytes() appends.
   [[nodiscard]] std::uint64_t payload_checksum() const;
 
   /// FNV-1a over the cached interference vector (0 when cache_valid is
@@ -85,7 +92,7 @@ struct Snapshot {
   /// state, so snapshots and workload reports cross-check directly.
   [[nodiscard]] std::uint64_t interference_checksum() const;
 
-  /// Structural consistency shared by both decoders: size agreement, id
+  /// Structural consistency checked by from_bytes(): size agreement, id
   /// ranges, adjacency symmetry, edge count, no self-loops or duplicates.
   [[nodiscard]] bool validate(std::string& error) const;
 };
@@ -94,8 +101,8 @@ struct Snapshot {
 /// shared by Snapshot and sim::WorkloadDriver).
 [[nodiscard]] std::uint64_t fnv1a_words(std::span<const std::uint32_t> words);
 
-/// Bit-exact double <-> 16-hex-digit text (used by the JSON encodings of
-/// snapshots and fuzz traces).
+/// Bit-exact double <-> 16-hex-digit text (used by the JSON encoding of
+/// fuzz traces).
 [[nodiscard]] std::string double_to_hex_bits(double value);
 [[nodiscard]] bool double_from_hex_bits(const std::string& hex, double& value);
 

@@ -1,17 +1,29 @@
 #include "rim/io/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 namespace rim::io {
 
+namespace {
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
 std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
+  auto it = std::find_if(raw.begin(), raw.end(), needs_escape);
+  if (it == raw.end()) return raw;
+  std::string out(raw.begin(), it);
+  out.reserve(raw.size() + 8);
+  for (; it != raw.end(); ++it) {
+    const char c = *it;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -42,57 +54,70 @@ std::string json_escape(const std::string& raw) {
   return out;
 }
 
-void Json::write(std::ostream& out) const {
+void Json::append_to(std::string& out) const {
   struct Visitor {
-    std::ostream& out;
-    void operator()(std::nullptr_t) const { out << "null"; }
-    void operator()(bool b) const { out << (b ? "true" : "false"); }
+    std::string& out;
+    void operator()(std::nullptr_t) const { out += "null"; }
+    void operator()(bool b) const { out += b ? "true" : "false"; }
     void operator()(double d) const {
       if (!std::isfinite(d)) {
-        out << "null";  // JSON has no Inf/NaN
+        out += "null";  // JSON has no Inf/NaN
         return;
       }
       // Integral doubles print without a fraction for readability.
+      char buffer[32];
       if (d == std::floor(d) && std::abs(d) < 1e15) {
-        out << static_cast<long long>(d);
+        const auto end = std::to_chars(buffer, buffer + sizeof buffer,
+                                       static_cast<long long>(d));
+        out.append(buffer, end.ptr);
       } else {
-        char buffer[32];
-        std::snprintf(buffer, sizeof buffer, "%.17g", d);
-        out << buffer;
+        const int length =
+            std::snprintf(buffer, sizeof buffer, "%.17g", d);
+        out.append(buffer, static_cast<std::size_t>(length));
       }
     }
     void operator()(const std::string& s) const {
-      out << '"' << json_escape(s) << '"';
+      out += '"';
+      // Skip json_escape's copy in the common case (e.g. base64 snapshots).
+      if (std::none_of(s.begin(), s.end(), needs_escape)) {
+        out += s;
+      } else {
+        out += json_escape(s);
+      }
+      out += '"';
     }
     void operator()(const JsonArray& a) const {
-      out << '[';
+      out += '[';
       bool first = true;
       for (const Json& v : a) {
-        if (!first) out << ',';
+        if (!first) out += ',';
         first = false;
-        v.write(out);
+        v.append_to(out);
       }
-      out << ']';
+      out += ']';
     }
     void operator()(const JsonObject& o) const {
-      out << '{';
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : o) {
-        if (!first) out << ',';
+        if (!first) out += ',';
         first = false;
-        out << '"' << json_escape(key) << "\":";
-        value.write(out);
+        (*this)(key);
+        out += ':';
+        value.append_to(out);
       }
-      out << '}';
+      out += '}';
     }
   };
   std::visit(Visitor{out}, value_);
 }
 
+void Json::write(std::ostream& out) const { out << dump(); }
+
 std::string Json::dump() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 namespace {
@@ -144,15 +169,17 @@ class Parser {
     ++pos_;  // opening quote
     out.clear();
     while (pos_ < text_.size()) {
+      // Append the run of bytes that need no decoding in one go.
+      std::size_t run_end = pos_;
+      while (run_end < text_.size() && !needs_escape(text_[run_end])) {
+        ++run_end;
+      }
+      out.append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("unescaped control character in string");
       if (pos_ >= text_.size()) return fail("truncated escape");
       const char e = text_[pos_++];
       switch (e) {

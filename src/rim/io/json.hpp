@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -108,8 +109,14 @@ class Json {
     const auto it = o->find(key);
     return it != o->end() ? &it->second : nullptr;
   }
+  /// Mutable lookup, so a member can be moved out of a parsed document.
+  [[nodiscard]] Json* find(const std::string& key) {
+    return const_cast<Json*>(std::as_const(*this).find(key));
+  }
 
  private:
+  void append_to(std::string& out) const;
+
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
       value_;
 };

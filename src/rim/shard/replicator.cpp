@@ -35,8 +35,8 @@ bool call_ok(const Exchange& exchange, const std::string& backend,
             (text != nullptr ? *text : std::string("unknown error"));
     return false;
   }
-  const io::Json* result_field = document.find("result");
-  result = result_field != nullptr ? *result_field : io::Json();
+  io::Json* result_field = document.find("result");
+  result = result_field != nullptr ? std::move(*result_field) : io::Json();
   return true;
 }
 
@@ -100,7 +100,7 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
     ++counters_.ship_failures;
     return false;
   }
-  const io::Json* snapshot_doc = snapshot_result.find("snapshot");
+  io::Json* snapshot_doc = snapshot_result.find("snapshot");
   if (snapshot_doc == nullptr) {
     ++counters_.ship_failures;
     return false;
@@ -122,7 +122,7 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   replicate_request["id"] = io::Json(std::uint64_t{0});
   replicate_request["origin"] = io::Json(origin);
   replicate_request["seq"] = io::Json(seq);
-  replicate_request["snapshot"] = *snapshot_doc;
+  replicate_request["snapshot"] = std::move(*snapshot_doc);
   io::Json replicate_result;
   if (!call_ok(exchange, peer,
                io::Json(std::move(replicate_request)).dump(),

@@ -14,7 +14,8 @@ io::Json ReplicaStoreCounters::to_json() const {
 }
 
 bool ReplicaStore::put(std::uint64_t origin, std::uint64_t seq,
-                       core::Snapshot snapshot, std::string& error) {
+                       core::Snapshot snapshot, std::uint64_t checksum,
+                       std::string& error) {
   common::MutexLock lock(store_mutex_);
   const auto it = replicas_.find(origin);
   if (it == replicas_.end() && replicas_.size() >= max_replicas_) {
@@ -23,7 +24,6 @@ bool ReplicaStore::put(std::uint64_t origin, std::uint64_t seq,
             ")";
     return false;
   }
-  const std::uint64_t checksum = snapshot.payload_checksum();
   if (it != replicas_.end() && seq == it->second.seq &&
       checksum == it->second.checksum) {
     // A duplicate of the stored ship (the router retried after a torn

@@ -61,12 +61,15 @@ class ReplicaStore {
   ReplicaStore& operator=(const ReplicaStore&) = delete;
 
   /// Store \p snapshot as the replica of \p origin at ship sequence
-  /// \p seq. Idempotent: a duplicate of the stored replica (same seq and
+  /// \p seq. \p checksum must be snapshot.payload_checksum(); callers
+  /// pass the one their decode verified instead of re-encoding.
+  /// Idempotent: a duplicate of the stored replica (same seq and
   /// checksum) is success. False (with \p error) when seq is otherwise
   /// not newer than the stored one, or the store is at capacity with
   /// \p origin absent.
   [[nodiscard]] bool put(std::uint64_t origin, std::uint64_t seq,
-                         core::Snapshot snapshot, std::string& error)
+                         core::Snapshot snapshot, std::uint64_t checksum,
+                         std::string& error)
       RIM_EXCLUDES(store_mutex_);
 
   /// Remove and return the replica of \p origin (the adopt path: a

@@ -292,16 +292,17 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     }
     const io::Json* snapshot_field = request.find("snapshot");
     core::Snapshot snapshot;
+    std::uint64_t checksum = 0;
     std::string error;
     if (snapshot_field == nullptr ||
-        !core::Snapshot::from_json(*snapshot_field, snapshot, error)) {
+        !core::Snapshot::from_json(*snapshot_field, snapshot, checksum,
+                                   error)) {
       return make_error(id, code::kRestoreFailed,
                         snapshot_field == nullptr
                             ? "field 'snapshot' must be a snapshot document"
                             : error);
     }
-    const std::uint64_t checksum = snapshot.payload_checksum();
-    if (!replicas_.put(origin, seq, std::move(snapshot), error)) {
+    if (!replicas_.put(origin, seq, std::move(snapshot), checksum, error)) {
       return make_error(id, code::kBadRequest, error);
     }
     io::JsonObject result;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "rim/io/json.hpp"
 
@@ -62,12 +64,17 @@ TEST(JsonHardening, DepthLimitAppliesInsideObjects) {
 }
 
 TEST(JsonHardening, LongStringsParse) {
-  const std::string body(1u << 20, 'a');
+  std::string body(1u << 20, 'a');
+  for (std::size_t i = 0; i < body.size(); i += 97) {
+    body[i] = static_cast<char>('A' + i % 26);
+  }
+  const std::string text = "\"" + body + "\"";
   Json out;
   std::string error;
-  ASSERT_TRUE(Json::parse("\"" + body + "\"", out, error)) << error;
+  ASSERT_TRUE(Json::parse(text, out, error)) << error;
   ASSERT_NE(out.as_string(), nullptr);
   EXPECT_EQ(*out.as_string(), body);
+  EXPECT_EQ(out.dump(), text);
 }
 
 TEST(JsonHardening, EscapeHandling) {
@@ -85,6 +92,25 @@ TEST(JsonHardening, EscapeHandling) {
   EXPECT_FALSE(parses(R"("\u00g0")"));
   EXPECT_FALSE(parses(R"("\u12)"));
   EXPECT_FALSE(parses("\"raw\ncontrol\""));
+
+  // Escapes at the start, in the middle, and at the end of a plain run,
+  // and back to back, decode the same as one character at a time.
+  const std::pair<const char*, std::string> cases[] = {
+      {R"("\nabc")", "\nabc"},
+      {R"("ab\tcd")", "ab\tcd"},
+      {R"("abc\\")", "abc\\"},
+      {R"("\"\u0041\/")", "\"A/"},
+      {R"("x\u00e9y\"")", "x\xC3\xA9y\""},
+      {R"("")", ""},
+  };
+  for (const auto& [text, expected] : cases) {
+    ASSERT_TRUE(Json::parse(text, out, error)) << text << ": " << error;
+    ASSERT_NE(out.as_string(), nullptr) << text;
+    EXPECT_EQ(*out.as_string(), expected) << text;
+    Json again;
+    ASSERT_TRUE(Json::parse(out.dump(), again, error)) << error;
+    EXPECT_EQ(*again.as_string(), expected) << text;
+  }
 }
 
 TEST(JsonHardening, EscapedStringsRoundTripThroughDump) {
@@ -170,6 +196,52 @@ TEST(JsonHardening, ErrorsCarryAnOffset) {
   std::string error;
   EXPECT_FALSE(parses("[1,2,oops]", &error));
   EXPECT_NE(error.find("offset"), std::string::npos) << error;
+
+  // The offset is one past the control character, wherever it sits in a
+  // plain run.
+  EXPECT_FALSE(parses("\"\x01\"", &error));
+  EXPECT_EQ(error,
+            "JSON parse error at offset 2: unescaped control character in "
+            "string");
+  EXPECT_FALSE(parses("\"ab\x1f" "c\"", &error));
+  EXPECT_EQ(error,
+            "JSON parse error at offset 4: unescaped control character in "
+            "string");
+  EXPECT_FALSE(parses("{\"k\":\"\\n\tx\"}", &error));
+  EXPECT_EQ(error,
+            "JSON parse error at offset 9: unescaped control character in "
+            "string");
+  EXPECT_FALSE(parses("\"abc", &error));
+  EXPECT_EQ(error, "JSON parse error at offset 4: unterminated string");
+}
+
+TEST(JsonHardening, DumpBytesArePinned) {
+  JsonObject object;
+  object["plain"] = Json("abc+/=XYZ");
+  object["escaped"] = Json("\"q\"\\\n\r\t\x01 end");
+  object["tab\tkey"] = Json("");
+  EXPECT_EQ(Json(std::move(object)).dump(),
+            R"({"escaped":"\"q\"\\\n\r\t\u0001 end","plain":"abc+/=XYZ",)"
+            R"("tab\tkey":""})");
+  EXPECT_EQ(json_escape("no escapes"), "no escapes");
+  EXPECT_EQ(json_escape("x\x1fy\""), "x\\u001fy\\\"");
+
+  JsonArray values;
+  for (const double d :
+       {0.0, -0.0, 1.0, -7.0, 999999999999999.0, 1e15, -1e15, 0.1, 1.5,
+        -2.25e-300, 123456789012.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 9007199254740993.0,
+        1.8446744073709552e19}) {
+    values.emplace_back(d);
+  }
+  values.emplace_back(true);
+  values.emplace_back(nullptr);
+  values.emplace_back(JsonArray{});
+  values.emplace_back(JsonObject{});
+  EXPECT_EQ(Json(std::move(values)).dump(),
+            "[0,0,1,-7,999999999999999,1000000000000000,-1000000000000000,"
+            "0.10000000000000001,1.5,-2.25e-300,123456789012.5,null,null,"
+            "9007199254740992,1.8446744073709552e+19,true,null,[],{}]");
 }
 
 }  // namespace

@@ -77,7 +77,8 @@ struct Cluster {
              if (killed_flag->load()) return nullptr;
              return std::make_unique<KillableTransport>(*service, killed_flag,
                                                         drop);
-           }});
+           },
+           nullptr});
     }
     config.replication.ship_every = ship_every;
     config.replication.max_journal = max_journal;

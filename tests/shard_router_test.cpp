@@ -79,7 +79,8 @@ struct Cluster {
              if (killed_flag->load()) return nullptr;
              return std::make_unique<KillableTransport>(*service, killed_flag,
                                                         drop);
-           }});
+           },
+           nullptr});
     }
     config.replication.ship_every = ship_every;
     router = std::make_unique<shard::Router>(std::move(config));

@@ -10,10 +10,10 @@
 #include "rim/sim/rng.hpp"
 #include "rim/sim/workload.hpp"
 
-/// Tests for core::Snapshot: bit-identical round-trips through both the
-/// binary and JSON encodings, restore-equivalence under continued mutation,
-/// and clean rejection (never UB) of truncated, corrupted, or tampered
-/// snapshots.
+/// Tests for core::Snapshot: bit-identical round-trips through the binary
+/// encoding and its base64 JSON envelope, restore-equivalence under
+/// continued mutation, and clean rejection (never UB) of truncated,
+/// corrupted, or tampered snapshots.
 
 namespace rim::core {
 namespace {
@@ -162,39 +162,214 @@ TEST(SnapshotTest, TrailingGarbageIsRejected) {
   EXPECT_FALSE(Snapshot::from_bytes(bytes, out, error));
 }
 
+/// Decode a wire document the way the service does: text -> Json ->
+/// Snapshot. Returns the from_json verdict; \p error explains a refusal.
+bool decode_text(const std::string& text, Snapshot& out, std::string& error) {
+  io::Json doc;
+  if (!io::Json::parse(text, doc, error)) return false;
+  return Snapshot::from_json(doc, out, error);
+}
+
+/// The to_json() document with its "bytes" string replaced by \p bytes.
+std::string with_bytes(const std::string& bytes) {
+  io::JsonObject o;
+  o["bytes"] = io::Json(bytes);
+  o["format"] = io::Json("rim-snapshot");
+  o["version"] = io::Json(Snapshot::kVersion);
+  return io::Json(std::move(o)).dump();
+}
+
+constexpr char kAlphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+char flip_low_bit(char c) {
+  const std::size_t value = std::string(kAlphabet).find(c);
+  return kAlphabet[value ^ 1];
+}
+
+void expect_rejected(const std::string& text, const std::string& reason,
+                     const char* context) {
+  Snapshot out;
+  std::string error;
+  EXPECT_FALSE(decode_text(text, out, error)) << context << " accepted";
+  EXPECT_NE(error.find(reason), std::string::npos)
+      << context << ": got '" << error << "'";
+}
+
 TEST(SnapshotTest, JsonTamperIsRejected) {
   Scenario scenario = make_scenario(11);
   (void)scenario.interference();
-  std::string text = scenario.snapshot().to_json().dump();
+  const Snapshot snap = scenario.snapshot();
+  const std::string bytes = *snap.to_json().find("bytes")->as_string();
+  ASSERT_GT(bytes.size(), 16u);
 
-  // Bump the version: rejected as unsupported, not migrated.
-  {
-    std::string tampered = text;
-    const std::size_t at = tampered.find("\"version\":2");
-    ASSERT_NE(at, std::string::npos);
-    tampered.replace(at, 11, "\"version\":3");
-    io::Json doc;
-    std::string error;
-    ASSERT_TRUE(io::Json::parse(tampered, doc, error)) << error;
+  // Every single-character substitution inside the alphabet lands in the
+  // payload or its trailer, so the checksum catches it (or, in the last
+  // character before a pad, the pad-bit check).
+  for (std::size_t i = 0; i < bytes.size() && bytes[i] != '='; ++i) {
+    std::string tampered = bytes;
+    tampered[i] = flip_low_bit(tampered[i]);
     Snapshot out;
-    EXPECT_FALSE(Snapshot::from_json(doc, out, error));
-    EXPECT_FALSE(error.empty());
-  }
-  // Perturb the edge count: the re-derived payload checksum mismatches.
-  {
-    std::string tampered = text;
-    const std::size_t at = tampered.find("\"edge_count\":");
-    ASSERT_NE(at, std::string::npos);
-    // Prepend a digit to the value. (Rebuilt by concatenation rather than
-    // insert(): gcc 12's -Wrestrict false-positives on in-place insert
-    // after find(), and the gate builds with -Werror.)
-    tampered = tampered.substr(0, at + 13) + "1" + tampered.substr(at + 13);
-    io::Json doc;
     std::string error;
-    ASSERT_TRUE(io::Json::parse(tampered, doc, error)) << error;
-    Snapshot out;
-    EXPECT_FALSE(Snapshot::from_json(doc, out, error));
+    EXPECT_FALSE(decode_text(with_bytes(tampered), out, error))
+        << "flip at " << i << " accepted";
   }
+  {
+    std::string tampered = bytes;
+    tampered[40] = flip_low_bit(tampered[40]);
+    expect_rejected(with_bytes(tampered), "checksum mismatch", "flipped char");
+  }
+  expect_rejected(with_bytes(bytes.substr(0, bytes.size() - 1)),
+                  "is not a multiple of 4", "short length");
+  expect_rejected(with_bytes(bytes + "AAA"), "is not a multiple of 4",
+                  "long length");
+  {
+    std::string tampered = bytes;
+    tampered[8] = '*';
+    expect_rejected(with_bytes(tampered), "non-base64 character at offset 8",
+                    "non-alphabet char");
+    tampered[8] = '-';  // base64url is not accepted either
+    expect_rejected(with_bytes(tampered), "non-base64 character at offset 8",
+                    "base64url char");
+  }
+  {
+    std::string tampered = bytes;
+    tampered[8] = '=';
+    expect_rejected(with_bytes(tampered), "'=' before the end at offset 8",
+                    "early pad");
+    expect_rejected(with_bytes(bytes.substr(0, bytes.size() - 4) + "A==="),
+                    "'=' before the end", "triple pad");
+  }
+  expect_rejected(with_bytes(""), "truncated", "empty bytes");
+
+  // Non-zero pad bits: the last data character of a padded text carries
+  // bits the decoder discards; a canonical encoder leaves them zero.
+  bool seen_pad[3] = {false, false, false};
+  for (std::uint64_t seed = 11; seed < 60; ++seed) {
+    Scenario padded_scenario = make_scenario(seed);
+    const std::string padded =
+        *padded_scenario.snapshot().to_json().find("bytes")->as_string();
+    const std::size_t first_pad = padded.find('=');
+    if (first_pad == std::string::npos) continue;
+    seen_pad[padded.size() - first_pad] = true;
+    std::string tampered = padded;
+    tampered[first_pad - 1] = flip_low_bit(tampered[first_pad - 1]);
+    expect_rejected(with_bytes(tampered), "non-zero base64 pad bits",
+                    "pad bits");
+  }
+  EXPECT_TRUE(seen_pad[1] && seen_pad[2]);
+
+  io::Json doc = snap.to_json();
+  {
+    io::JsonObject o = *doc.as_object();
+    o.erase("bytes");
+    expect_rejected(io::Json(std::move(o)).dump(), "missing base64 'bytes'",
+                    "missing bytes");
+  }
+  {
+    io::JsonObject o = *doc.as_object();
+    o["bytes"] = io::Json(7);
+    expect_rejected(io::Json(std::move(o)).dump(), "missing base64 'bytes'",
+                    "non-string bytes");
+  }
+  {
+    io::JsonObject o = *doc.as_object();
+    o["version"] = io::Json(Snapshot::kVersion + 1);
+    expect_rejected(io::Json(std::move(o)).dump(), "unsupported",
+                    "version bump");
+  }
+  {
+    io::JsonObject o = *doc.as_object();
+    o["format"] = io::Json("rim-trace");
+    expect_rejected(io::Json(std::move(o)).dump(),
+                    "not a rim-snapshot document", "wrong format");
+  }
+  // The retired per-field shape carried the same format and version; it
+  // must fail with an error that names it, not a bare "missing bytes".
+  {
+    io::JsonObject o;
+    o["format"] = io::Json("rim-snapshot");
+    o["version"] = io::Json(Snapshot::kVersion);
+    o["cache_valid"] = io::Json(false);
+    o["points_bits"] = io::Json(io::JsonArray{});
+    o["radii2_bits"] = io::Json(io::JsonArray{});
+    o["adjacency"] = io::Json(io::JsonArray{});
+    expect_rejected(io::Json(std::move(o)).dump(),
+                    "per-field snapshot document (points_bits", "old shape");
+  }
+}
+
+TEST(SnapshotTest, JsonRoundTripAtEveryPadding) {
+  // Byte lengths 0, 1 and 2 (mod 3) exercise no pad, "==" and "=".
+  bool seen[3] = {false, false, false};
+  for (std::uint64_t seed = 20; seed < 60; ++seed) {
+    Scenario scenario = make_scenario(seed);
+    if (seed % 2 == 0) (void)scenario.interference();
+    const Snapshot original = scenario.snapshot();
+    const std::vector<std::uint8_t> bytes = original.to_bytes();
+    const std::size_t residue = bytes.size() % 3;
+    if (seen[residue]) continue;
+    seen[residue] = true;
+
+    const std::string text = original.to_json().dump();
+    const std::string encoded = *original.to_json().find("bytes")->as_string();
+    EXPECT_EQ(encoded.size(), 4 * ((bytes.size() + 2) / 3));
+    EXPECT_EQ(encoded.ends_with("=="), residue == 1);
+    EXPECT_EQ(encoded.ends_with("="), residue != 0);
+    Snapshot decoded;
+    std::string error;
+    ASSERT_TRUE(decode_text(text, decoded, error)) << error;
+    EXPECT_EQ(decoded.to_bytes(), bytes) << "residue " << residue;
+
+    io::Json doc;
+    ASSERT_TRUE(io::Json::parse(text, doc, error)) << error;
+    std::uint64_t checksum = 0;
+    ASSERT_TRUE(Snapshot::from_json(doc, decoded, checksum, error)) << error;
+    EXPECT_EQ(checksum, original.payload_checksum());
+  }
+  EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
+}
+
+TEST(SnapshotTest, BinaryEncodingIsPinned) {
+  // These bytes were written by the per-field-JSON era of this codec; the
+  // binary layout (and so every disk spill) must keep decoding and
+  // re-encoding to exactly them, and the JSON envelope is their RFC 4648
+  // base64.
+  const std::string hex =
+      "52494d534e415031020000000300000003000000000000000200000000000000"
+      "000000000000f03f030140000000000000000010000000000000000000000000"
+      "d03f400000000000000004000000000000000000000000000000000000000000"
+      "0000000000000000f03f0000000000000080000000000000e03f000000000000"
+      "e83f000000000000f03f000000000000f03f000000000000ea3f010000000100"
+      "0000020000000000000002000000010000000100000002000000020000000200"
+      "00008e31bb9c5743ef3a";
+  std::vector<std::uint8_t> golden;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    golden.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  Snapshot spilled;
+  std::string error;
+  ASSERT_TRUE(Snapshot::from_bytes(golden, spilled, error)) << error;
+  EXPECT_EQ(spilled.to_bytes(), golden);
+  EXPECT_EQ(spilled.payload_checksum(), 0x3aef43579cbb318eULL);
+
+  Scenario scenario{EvalOptions{}};
+  (void)scenario.add_node({0.0, 0.0});
+  (void)scenario.add_node({1.0, -0.0});
+  (void)scenario.add_node({0.5, 0.75});
+  (void)scenario.add_edge(0, 1);
+  (void)scenario.add_edge(1, 2);
+  (void)scenario.interference();
+  const Snapshot fresh = scenario.snapshot();
+  EXPECT_EQ(fresh.to_bytes(), golden);
+  EXPECT_EQ(fresh.to_json().dump(),
+            R"({"bytes":"UklNU05BUDECAAAAAwAAAAMAAAAAAAAAAgAAAAAAAAAAAAAAAADw)"
+            R"(PwMBQAAAAAAAAAAAEAAAAAAAAAAAAAAAANA/QAAAAAAAAAAEAAAAAAAAAAAAAA)"
+            R"(AAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAACAAAAAAAAA4D8AAAAAAADoPwAA)"
+            R"(AAAAAPA/AAAAAAAA8D8AAAAAAADqPwEAAAABAAAAAgAAAAAAAAACAAAAAQAAAA)"
+            R"(EAAAACAAAAAgAAAAIAAACOMbucV0PvOg==)"
+            R"(","format":"rim-snapshot","version":2})");
 }
 
 TEST(SnapshotTest, ValidateCatchesStructuralLies) {

@@ -11,6 +11,7 @@
 #include "rim/sim/rng.hpp"
 #include "rim/sim/workload.hpp"
 #include "rim/svc/client.hpp"
+#include "rim/svc/replica_store.hpp"
 #include "rim/svc/service.hpp"
 #include "rim/svc/transport.hpp"
 
@@ -279,9 +280,12 @@ TEST_F(SvcLoopback, SnapshotRestoreRoundTripsThroughWire) {
   };
   ASSERT_TRUE(ok(client_.try_apply_batch(session, divergence), ignored));
   ASSERT_TRUE(ok(client_.try_restore(session, at_snapshot)));
+  // Re-snapshotting reproduces the very document it was restored from.
+  io::Json again;
+  ASSERT_TRUE(ok(client_.try_snapshot(session), again));
+  EXPECT_EQ(again.dump(), at_snapshot.dump());
 
-  // The restored session re-snapshots byte-identically except the stats
-  // block (restores counter) — so compare engine state via queries.
+  // The restored session answers like the twin it was snapshotted from.
   io::Json wire;
   ASSERT_TRUE(ok(client_.try_query_interference(session), wire));
   io::JsonObject result;
@@ -299,6 +303,7 @@ TEST_F(SvcLoopback, SnapshotRestoreRoundTripsThroughWire) {
   ASSERT_TRUE(ok(client_.try_session_stats(session), stats));
   EXPECT_EQ(stats.find("nodes")->as_number(), double(twin_.node_count()));
   EXPECT_EQ(stats.find("edges")->as_number(), double(twin_.edge_count()));
+
 }
 
 TEST_F(SvcLoopback, RestoreRejectsGarbageAndKeepsState) {
@@ -518,6 +523,84 @@ TEST(SvcReplica, DuplicateReplicatePutIsIdempotent) {
   EXPECT_EQ(service.replicas().counters().rejected.value(), 1u);
   EXPECT_NE(replicate(2, *second).find("\"ok\":true"), std::string::npos);
   EXPECT_EQ(service.replicas().size(), 1u);
+}
+
+TEST(SvcReplica, ReplicateChecksumIsPayloadChecksum) {
+  // The peer answers with, and stores, the checksum its decode verified;
+  // it must be the snapshot's payload_checksum().
+  Service service(loopback_config());
+  ASSERT_NE(service.handle(R"({"cmd":"create_session","id":1})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_NE(service
+                  .handle(R"({"cmd":"add_node","id":2,"session":1,"x":)" +
+                          std::to_string(0.3 * i) + R"(,"y":0.25})")
+                  .find("\"ok\":true"),
+              std::string::npos);
+  }
+  io::Json snapshot_response;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(
+      service.handle(R"({"cmd":"snapshot","id":3,"session":1})"),
+      snapshot_response, error))
+      << error;
+  const io::Json* doc = snapshot_response.find("result")->find("snapshot");
+  ASSERT_NE(doc, nullptr);
+  core::Snapshot snapshot;
+  ASSERT_TRUE(core::Snapshot::from_json(*doc, snapshot, error)) << error;
+
+  io::JsonObject request;
+  request["cmd"] = io::Json("replicate_session");
+  request["id"] = io::Json(std::uint64_t{4});
+  request["origin"] = io::Json(std::uint64_t{42});
+  request["seq"] = io::Json(std::uint64_t{1});
+  request["snapshot"] = *doc;
+  const std::string response =
+      service.handle(io::Json(std::move(request)).dump());
+  io::Json replicated;
+  ASSERT_TRUE(io::Json::parse(response, replicated, error)) << error;
+  const io::Json* result = replicated.find("result");
+  ASSERT_NE(result, nullptr) << replicated.dump();
+  // The wire carries the checksum as a JSON number (a double), so compare
+  // it with the expected value in that same representation, and the
+  // stored replica's exactly.
+  ASSERT_NE(result->find("checksum"), nullptr);
+  EXPECT_EQ(result->find("checksum")->dump(),
+            io::Json(snapshot.payload_checksum()).dump());
+  ReplicaStore::Replica replica;
+  ASSERT_TRUE(service.replicas().take(42, replica));
+  EXPECT_EQ(replica.checksum, snapshot.payload_checksum());
+  EXPECT_EQ(replica.snapshot.to_bytes(), snapshot.to_bytes());
+}
+
+TEST(SvcReplica, StoreExactDuplicatePutIsIdempotent) {
+  core::Scenario scenario{core::EvalOptions{}};
+  (void)scenario.add_node({0.0, 0.0});
+  (void)scenario.add_node({1.0, 0.0});
+  (void)scenario.add_edge(0, 1);
+  const core::Snapshot first = scenario.snapshot();
+  (void)scenario.add_node({0.5, 0.5});
+  const core::Snapshot second = scenario.snapshot();
+
+  ReplicaStore store(4);
+  std::string error;
+  ASSERT_TRUE(store.put(7, 3, first, first.payload_checksum(), error))
+      << error;
+  EXPECT_TRUE(store.put(7, 3, first, first.payload_checksum(), error))
+      << error;
+  EXPECT_EQ(store.counters().stored.value(), 1u);
+  EXPECT_EQ(store.counters().rejected.value(), 0u);
+  // Same seq, different state: a stale write, not a duplicate.
+  EXPECT_FALSE(store.put(7, 3, second, second.payload_checksum(), error));
+  EXPECT_NE(error.find("stale replica seq 3"), std::string::npos) << error;
+  EXPECT_EQ(store.counters().rejected.value(), 1u);
+
+  ReplicaStore::Replica replica;
+  ASSERT_TRUE(store.take(7, replica));
+  EXPECT_EQ(replica.seq, 3u);
+  EXPECT_EQ(replica.checksum, first.payload_checksum());
+  EXPECT_EQ(replica.snapshot.to_bytes(), first.to_bytes());
 }
 
 }  // namespace

@@ -111,10 +111,6 @@ std::vector<std::pair<std::string, std::string>> parse_compile_commands(
   return p;
 }
 
-[[nodiscard]] bool is_header(const std::string& p) {
-  return p.ends_with(".hpp") || p.ends_with(".h") || p.ends_with(".hxx");
-}
-
 [[nodiscard]] std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -893,7 +889,6 @@ BodyFacts analyze_body(const Index& index, const FunctionDef& fn) {
         scratch.synchronized_classes = index.synchronized_classes;
         audit_static(d, file, scratch);
         for (Violation& v : scratch.coverage) {
-          facts.sources.empty();  // no-op; keep structure obvious
           const_cast<Index&>(index).coverage.push_back(std::move(v));
         }
       }
