@@ -78,7 +78,6 @@ struct Cluster {
     config.replication.ship_every = kShipEvery;
     for (std::size_t i = 0; i < kBackends; ++i) {
       svc::ServiceConfig service_config;
-      service_config.batch_pool_threads = 1;
       service_config.limits.max_sessions = kTenants * 2;
       service_config.limits.max_live_sessions = kTenants * 2;
       services.push_back(std::make_unique<svc::Service>(service_config));

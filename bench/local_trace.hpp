@@ -10,13 +10,13 @@
 
 /// \file local_trace.hpp
 /// Spatially local churn generator shared by the large-scale pipeline
-/// benches (E19, E22). sim::make_churn_batch() teleports moved nodes
+/// bench (E19) and perfbench. sim::make_churn_batch() teleports moved nodes
 /// anywhere in the square, which is fine for small tenants but at 100k
 /// nodes over an MST would stretch disks across the deployment and push
 /// every batch into the deferred full-evaluation path — measuring nothing.
 /// This generator tracks node positions through renames and keeps moves and
-/// new edges local, so the incremental machinery (waves or speculative
-/// tasks) is what gets timed.
+/// new edges local, so the incremental machinery (the disk-task waves) is
+/// what gets timed.
 
 namespace rim::bench {
 

@@ -273,7 +273,6 @@ int cmd_serve(const Args& args) {
   config.limits.max_in_flight = static_cast<std::size_t>(
       args.num("max-in-flight", double(config.limits.max_in_flight)));
   config.limits.spill_dir = args.get("spill-dir");
-  config.batch_pool_threads = static_cast<std::size_t>(args.num("threads", 0));
   config.allow_shutdown = true;
 
   svc::Service service(config);

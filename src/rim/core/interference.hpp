@@ -53,14 +53,6 @@ enum class Strategy : std::uint8_t {
   kAuto,      ///< pick by instance size.
 };
 
-/// How Scenario::apply_batch executes its coalesced disk tasks after the
-/// serial structural pass (DESIGN.md §11).
-enum class Execution : std::uint8_t {
-  kSerial,       ///< inline, in task order — the reference baseline
-  kWave,         ///< AABB-disjoint waves, one pool barrier per wave
-  kSpeculative,  ///< optimistic: claim footprints, roll losers back, replay
-};
-
 /// Which interference model Assessor::assess evaluates (DESIGN.md §12).
 enum class Model : std::uint8_t {
   kReceiverCentric,  ///< the paper's I(v) = covering-disk count (default)
@@ -148,11 +140,6 @@ struct EvalOptions {
   /// SINR-model parameters, consulted only when model == Model::kSinr.
   SinrOptions sinr;
 
-  /// Scenario::apply_batch disk-task execution mode. All three modes are
-  /// bit-identical (the property tests pin it); they differ only in how the
-  /// commuting ±1 region deltas are scheduled across the thread pool.
-  Execution execution = Execution::kWave;
-
   /// Strategy::kAuto resolution (see resolve()): instances up to
   /// auto_brute_max_nodes use the O(n^2) oracle (cheaper than building a
   /// grid), up to auto_grid_max_nodes the serial grid, and anything larger
@@ -166,11 +153,6 @@ struct EvalOptions {
   double max_touched_fraction = 0.25;
   std::size_t touched_floor = 64;
 
-  /// Scenario::apply_batch: waves with fewer independent region tasks than
-  /// this run inline rather than on the thread pool (submit overhead would
-  /// exceed the work).
-  std::size_t batch_min_parallel_tasks = 4;
-
   // --- builder-style setters -----------------------------------------------
   // Chainable named setters so call sites read as intent instead of
   // designated-initializer field soup:
@@ -182,11 +164,6 @@ struct EvalOptions {
 
   EvalOptions& with_strategy(Strategy s) {
     strategy = s;
-    return *this;
-  }
-  /// Batch disk-task execution mode (default Execution::kWave).
-  EvalOptions& with_execution(Execution e) {
-    execution = e;
     return *this;
   }
   /// Interference model for Assessor::assess (default kReceiverCentric).
@@ -217,11 +194,6 @@ struct EvalOptions {
   /// Incremental fallback floor (default 64 touched nodes).
   EvalOptions& with_touched_floor(std::size_t floor) {
     touched_floor = floor;
-    return *this;
-  }
-  /// Minimum independent tasks per batch wave to use the pool (default 4).
-  EvalOptions& with_batch_min_parallel_tasks(std::size_t tasks) {
-    batch_min_parallel_tasks = tasks;
     return *this;
   }
 

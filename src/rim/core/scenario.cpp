@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "rim/core/snapshot.hpp"
-#include "rim/core/speculative.hpp"
 #include "rim/geom/grid_kernels.hpp"
 #include "rim/parallel/parallel_for.hpp"
 
@@ -52,12 +51,6 @@ io::Json ScenarioStats::to_json() const {
   o["restores"] = restores.to_json();
   o["batch_aborts"] = batch_aborts.to_json();
   o["hook_skipped_tasks"] = hook_skipped_tasks.to_json();
-  o["spec_batches"] = spec_batches.to_json();
-  o["spec_committed"] = spec_committed.to_json();
-  o["spec_rolled_back"] = spec_rolled_back.to_json();
-  o["spec_replay_rounds"] = spec_replay_rounds.to_json();
-  o["spec_serial_tasks"] = spec_serial_tasks.to_json();
-  o["spec_chain_length"] = spec_chain_length.to_json();
   return io::Json(std::move(o));
 }
 
@@ -109,11 +102,6 @@ Scenario& Scenario::operator=(const Scenario& other) {
   batch_arena_.reset();
   return *this;
 }
-
-// Out of line so unique_ptr<SpeculativeExecutor> sees the complete type.
-Scenario::Scenario(Scenario&&) noexcept = default;
-Scenario& Scenario::operator=(Scenario&&) noexcept = default;
-Scenario::~Scenario() = default;
 
 void Scenario::ensure_grid() {
   if (grid_built_) return;

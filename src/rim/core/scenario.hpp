@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,7 +65,6 @@ class ThreadPool;
 namespace rim::core {
 
 struct Snapshot;  // snapshot.hpp — full-state serialization of a Scenario
-class SpeculativeExecutor;  // speculative.hpp — optimistic batch execution
 
 /// One reified network mutation — the unit of apply(), apply_batch(), and
 /// assess(). Node ids refer to the id space at the moment the mutation is
@@ -114,12 +112,6 @@ struct BatchResult {
   /// Index of the first mutation NOT applied when aborted (the crash
   /// point); batch.size() otherwise.
   std::size_t abort_index = 0;
-
-  // Execution::kSpeculative only (DESIGN.md §11); all zero otherwise.
-  std::size_t spec_committed = 0;      ///< tasks whose effect survived
-  std::size_t spec_rolled_back = 0;    ///< conflict aborts + validation undos
-  std::size_t spec_replay_rounds = 0;  ///< parallel rounds after the first
-  std::size_t spec_serial_tasks = 0;   ///< tasks finished on the serial tail
 };
 
 /// Fault-injection/test hooks consulted by apply_batch (sim::FaultInjector
@@ -155,22 +147,6 @@ class BatchHooks {
   /// (same corruption model as before_disk_task).
   virtual bool before_recount(std::size_t index) {
     (void)index;
-    return true;
-  }
-  /// Before speculative task \p task (its index in the coalesced task
-  /// list) executes, with its footprint cells already claimed. Returning
-  /// false skips the task — the speculative twin of a poisoned wave task.
-  /// Runs on pool workers; the §8 lock-free contract applies.
-  virtual bool before_speculative_task(std::size_t task) {
-    (void)task;
-    return true;
-  }
-  /// After speculative task \p task executed, before its cells are
-  /// released. Returning false rolls the task's effect back through the
-  /// undo log and requeues it for a replay round — a transient validation
-  /// failure, not a skip: the state stays exact.
-  virtual bool after_speculative_task(std::size_t task) {
-    (void)task;
     return true;
   }
 };
@@ -218,16 +194,6 @@ struct ScenarioStats {
   obs::Counter batch_aborts;     ///< batches aborted by hooks (crash faults)
   obs::Counter hook_skipped_tasks;  ///< disk/recount tasks vetoed by hooks
 
-  // Speculative executor (Execution::kSpeculative batches, DESIGN.md §11).
-  // The committed/serial counters are deterministic; rollbacks and replay
-  // rounds depend on actual thread interleaving (the final state does not).
-  obs::Counter spec_batches;        ///< batches run speculatively
-  obs::Counter spec_committed;      ///< speculative tasks committed
-  obs::Counter spec_rolled_back;    ///< conflict aborts + validation undos
-  obs::Counter spec_replay_rounds;  ///< replay rounds dispatched
-  obs::Counter spec_serial_tasks;   ///< tasks finished on the serial tail
-  obs::Histogram spec_chain_length;  ///< attempts per committed task
-
   /// Machine-readable dump (io::Json) for experiment harnesses.
   [[nodiscard]] io::Json to_json() const;
 };
@@ -259,10 +225,8 @@ class Scenario {
   /// not the batch scratch arena — each Scenario owns a fresh one.
   Scenario(const Scenario& other);
   Scenario& operator=(const Scenario& other);
-  // Out of line: the speculative executor is an incomplete type here.
-  Scenario(Scenario&&) noexcept;
-  Scenario& operator=(Scenario&&) noexcept;
-  ~Scenario();
+  Scenario(Scenario&&) noexcept = default;
+  Scenario& operator=(Scenario&&) noexcept = default;
 
   // --- mutations ---------------------------------------------------------
 
@@ -300,9 +264,11 @@ class Scenario {
   /// apply() on each element in order, but pipelined: one serial structural
   /// pass coalesces all radius/position changes per node, then the
   /// surviving disk deltas are grouped into conflict-free waves (disjoint
-  /// affected regions, by bounding-box test) and executed concurrently on
-  /// \p pool; conflicting deltas land in later waves in batch-index order.
-  /// Falls back to one deferred full evaluation when the batch's region
+  /// affected regions, by bounding-box test; conflicting deltas land in
+  /// later waves in batch-index order). The waves run on \p pool when it
+  /// has more than one worker and inline otherwise (nullptr included); the
+  /// schedule, the BatchResult, and the resulting state are the same either
+  /// way. Falls back to one deferred full evaluation when the batch's region
   /// estimate exceeds the EvalOptions thresholds. Results are bit-identical
   /// to the serial path (and hence to the kBrute oracle) either way.
   /// \p hooks, when non-null, is consulted at every fault point
@@ -430,15 +396,6 @@ class Scenario {
   /// reused across batches (allocation-free in steady state). Deliberately
   /// not copied — probe copies never carry scratch.
   common::Arena batch_arena_;
-
-  /// Optimistic disk-task executor (Execution::kSpeculative), built lazily
-  /// on first use and reused across batches. Like the arena, never copied:
-  /// its footprint index and per-worker scratch are execution state, not
-  /// engine state. SpeculativeExecutor is a friend — it drives the private
-  /// run_disk_delta kernel and the stats counters directly.
-  std::unique_ptr<SpeculativeExecutor> speculative_;
-
-  friend class SpeculativeExecutor;
 };
 
 }  // namespace rim::core

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "rim/core/scenario.hpp"
-#include "rim/core/speculative.hpp"
 #include "rim/parallel/thread_pool.hpp"
 
 /// \file scenario_batch.cpp
@@ -23,16 +22,12 @@
 ///     node, its pre-batch disk vs. its final disk, and collecting the
 ///     pre-batch disks of removed nodes.
 ///  2. The surviving *disk tasks* (one or two region deltas per changed
-///     transmitter) run under one of three EvalOptions::execution modes:
-///     kSerial applies them in batch order on the calling thread; kWave
-///     schedules them into waves of pairwise AABB-disjoint regions —
-///     greedy first-fit in batch order, so the schedule is a deterministic
-///     function of the batch — each wave running concurrently on the
-///     thread pool (disjoint regions mean disjoint interference_ writes,
-///     no atomics needed); kSpeculative skips the up-front proof and the
-///     per-wave barriers, executing tasks optimistically under the
-///     footprint-claim/rollback protocol of core::SpeculativeExecutor
-///     (speculative.hpp, DESIGN.md §11). All three yield the same sums.
+///     transmitter) are scheduled into waves of pairwise AABB-disjoint
+///     regions — greedy first-fit in batch order, so the schedule is a
+///     deterministic function of the batch. Each wave runs concurrently on
+///     the thread pool when the pool has more than one worker (disjoint
+///     regions mean disjoint interference_ writes, no atomics needed) and
+///     inline otherwise; either way the sums are the same.
 ///  3. A final wave of *recount tasks* rebuilds I(v) from scratch for every
 ///     added or moved node (each owns its slot; everything else is frozen
 ///     reads), overwriting any stale deltas phase 2 wrote there.
@@ -56,6 +51,11 @@ namespace rim::core {
 
 namespace {
 
+/// Waves (and the recount set) with fewer independent tasks than this run
+/// inline rather than on the thread pool: submit overhead would exceed the
+/// work.
+constexpr std::size_t kMinParallelTasks = 4;
+
 /// Per-physical-node coalesced state, keyed by *current* id and re-keyed
 /// across swap-with-last renames. Trivially destructible (arena-resident).
 struct PendingNode {
@@ -65,8 +65,19 @@ struct PendingNode {
   bool recount = false;  ///< added or moved: final I(v) needs a recount
 };
 
-// DiskTask itself lives in speculative.hpp — the one definition shared by
-// this pipeline and the speculative executor.
+/// One coalesced region delta: remove the disk (center, old_r2) and apply
+/// (center, new_r2), skipping slot `exclude`. Trivially destructible
+/// (arena-resident).
+struct DiskTask {
+  NodeId exclude = kInvalidNode;
+  geom::Vec2 center{};
+  double old_r2 = 0.0;
+  double new_r2 = 0.0;
+
+  [[nodiscard]] double query_radius() const {
+    return std::sqrt(std::max({old_r2, new_r2, 0.0}));
+  }
+};
 
 /// Arena-resident singly linked list node of one wave's task indices.
 struct WaveNode {
@@ -343,10 +354,10 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     return result;
   }
 
-  // ---- 4. Run the disk tasks (EvalOptions::execution) ------------------
-  // Three schedulers over the same task list, all bit-identical: the
-  // commuting ±1 deltas make the final vector independent of the order and
-  // interleaving, as long as no two concurrent tasks write the same slot.
+  // ---- 4. Run the disk tasks in conflict-free waves ---------------------
+  // The commuting ±1 deltas make the final vector independent of the order
+  // and interleaving, as long as no two concurrent tasks write the same
+  // slot — which the AABB-disjoint waves guarantee.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 0;
   // Hooks veto individual tasks (poisoned-wave faults). The veto is decided
   // from immutable state, so calling it from pool workers is safe.
@@ -358,121 +369,85 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     const DiskTask& t = tasks[task_idx];
     run_disk_delta(t.exclude, t.center, t.old_r2, t.new_r2);
   };
-  switch (options_.execution) {
-    case Execution::kSerial: {
-      // Reference baseline: every task inline, in task order — one "wave".
-      if (task_count > 0) {
-        result.waves = 1;
-        ++stats_.batch_waves;
-        stats_.batch_wave_tasks.record(task_count);
-        for (std::size_t i = 0; i < task_count; ++i) run_task(0, i);
+  // Greedy first-fit in task order: each task lands in the earliest wave
+  // whose members it conflicts with none of. Purely a function of the
+  // batch, so the schedule (and hence the execution) is deterministic.
+  // Waves are arena linked lists while under construction, then
+  // materialised into one contiguous execution-order array so wave task
+  // lambdas capture nothing but raw pointers.
+  WaveList* waves = batch_arena_.alloc_array<WaveList>(task_count);
+  std::size_t wave_count = 0;
+  for (std::size_t i = 0; i < task_count; ++i) {
+    std::size_t target = wave_count;
+    for (std::size_t w = 0; w < wave_count; ++w) {
+      bool conflicts = false;
+      for (const WaveNode* node = waves[w].head; node != nullptr;
+           node = node->next) {
+        if (tasks_conflict(tasks[i], tasks[node->task])) {
+          conflicts = true;
+          break;
+        }
       }
-      break;
+      if (!conflicts) {
+        target = w;
+        break;
+      }
     }
-    case Execution::kSpeculative: {
-      // Optimistic execution with footprint claims, rollback, and replay
-      // (speculative.hpp). The executor is engine scratch, like the arena:
-      // built lazily, reused across batches, never copied.
-      if (speculative_ == nullptr) {
-        speculative_ = std::make_unique<SpeculativeExecutor>();
-      }
-      ++stats_.spec_batches;
-      const SpecOutcome spec =
-          speculative_->run(*this, tasks, task_count, pool, hooks);
-      result.spec_committed = spec.committed;
-      result.spec_rolled_back = spec.rolled_back;
-      result.spec_replay_rounds = spec.replay_rounds;
-      result.spec_serial_tasks = spec.serial_tasks;
-      stats_.spec_committed += spec.committed;
-      stats_.spec_rolled_back += spec.rolled_back;
-      stats_.spec_replay_rounds += spec.replay_rounds;
-      stats_.spec_serial_tasks += spec.serial_tasks;
-      break;
+    if (target == wave_count) waves[wave_count++] = WaveList{};
+    WaveNode* node =
+        batch_arena_.create<WaveNode>(static_cast<std::uint32_t>(i), nullptr);
+    WaveList& wave = waves[target];
+    if (wave.tail != nullptr) {
+      wave.tail->next = node;
+    } else {
+      wave.head = node;
     }
-    case Execution::kWave: {
-      // Greedy first-fit in task order: each task lands in the earliest
-      // wave whose members it conflicts with none of. Purely a function of
-      // the batch, so the schedule (and hence the execution) is
-      // deterministic. Waves are arena linked lists while under
-      // construction, then materialised into one contiguous execution-order
-      // array so wave task lambdas capture nothing but raw pointers.
-      WaveList* waves = batch_arena_.alloc_array<WaveList>(task_count);
-      std::size_t wave_count = 0;
-      for (std::size_t i = 0; i < task_count; ++i) {
-        std::size_t target = wave_count;
-        for (std::size_t w = 0; w < wave_count; ++w) {
-          bool conflicts = false;
-          for (const WaveNode* node = waves[w].head; node != nullptr;
-               node = node->next) {
-            if (tasks_conflict(tasks[i], tasks[node->task])) {
-              conflicts = true;
-              break;
-            }
-          }
-          if (!conflicts) {
-            target = w;
-            break;
-          }
-        }
-        if (target == wave_count) waves[wave_count++] = WaveList{};
-        WaveNode* node = batch_arena_.create<WaveNode>(
-            static_cast<std::uint32_t>(i), nullptr);
-        WaveList& wave = waves[target];
-        if (wave.tail != nullptr) {
-          wave.tail->next = node;
-        } else {
-          wave.head = node;
-        }
-        wave.tail = node;
-        ++wave.size;
+    wave.tail = node;
+    ++wave.size;
+  }
+  std::uint32_t* order = batch_arena_.alloc_array<std::uint32_t>(task_count);
+  {
+    std::size_t cursor = 0;
+    for (std::size_t w = 0; w < wave_count; ++w) {
+      for (const WaveNode* node = waves[w].head; node != nullptr;
+           node = node->next) {
+        order[cursor++] = node->task;
       }
-      std::uint32_t* order =
-          batch_arena_.alloc_array<std::uint32_t>(task_count);
-      {
-        std::size_t cursor = 0;
-        for (std::size_t w = 0; w < wave_count; ++w) {
-          for (const WaveNode* node = waves[w].head; node != nullptr;
-               node = node->next) {
-            order[cursor++] = node->task;
-          }
-        }
-        assert(cursor == task_count);
-      }
-      result.waves = wave_count;
-      stats_.batch_waves += wave_count;
+    }
+    assert(cursor == task_count);
+  }
+  result.waves = wave_count;
+  stats_.batch_waves += wave_count;
 
-      const auto run_wave = [&](std::size_t wave_idx,
-                                const std::uint32_t* wave_order,
-                                std::size_t wave_size) {
-        stats_.batch_wave_tasks.record(wave_size);
-        if (workers <= 1 || wave_size < options_.batch_min_parallel_tasks) {
-          for (std::size_t k = 0; k < wave_size; ++k) {
-            run_task(wave_idx, wave_order[k]);
-          }
-          return;
-        }
-        // Chunk the wave so submit overhead stays O(workers), not O(tasks).
-        const std::size_t chunks = std::min(wave_size, workers * 2);
-        const std::size_t per = (wave_size + chunks - 1) / chunks;
-        for (std::size_t c = 0; c < chunks; ++c) {
-          const std::size_t begin = c * per;
-          const std::size_t end = std::min(begin + per, wave_size);
-          if (begin >= end) break;
-          pool->submit([&run_task, wave_order, wave_idx, begin, end] {
-            for (std::size_t k = begin; k < end; ++k) {
-              run_task(wave_idx, wave_order[k]);
-            }
-          });
-        }
-        pool->wait_idle();
-      };
-      const std::uint32_t* cursor = order;
-      for (std::size_t w = 0; w < wave_count; ++w) {
-        run_wave(w, cursor, waves[w].size);
-        cursor += waves[w].size;
+  const auto run_wave = [&](std::size_t wave_idx,
+                            const std::uint32_t* wave_order,
+                            std::size_t wave_size) {
+    stats_.batch_wave_tasks.record(wave_size);
+    if (workers <= 1 || wave_size < kMinParallelTasks) {
+      for (std::size_t k = 0; k < wave_size; ++k) {
+        run_task(wave_idx, wave_order[k]);
       }
-      break;
+      return;
     }
+    // Chunk the wave so submit overhead stays O(workers), not O(tasks).
+    const std::size_t chunks = std::min(wave_size, workers * 2);
+    const std::size_t per = (wave_size + chunks - 1) / chunks;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t begin = c * per;
+      const std::size_t end = std::min(begin + per, wave_size);
+      if (begin >= end) break;
+      pool->submit([&run_task, wave_order, wave_idx, begin, end] {
+        for (std::size_t k = begin; k < end; ++k) {
+          run_task(wave_idx, wave_order[k]);
+        }
+      });
+    }
+    pool->wait_idle();
+  };
+  const std::uint32_t* cursor = order;
+  for (std::size_t w = 0; w < wave_count; ++w) {
+    run_wave(w, cursor, waves[w].size);
+    cursor += waves[w].size;
   }
 
   // ---- 5. Recount wave ------------------------------------------------
@@ -486,7 +461,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     const NodeId id = recounts[k];
     interference_[id] = run_recount(id);
   };
-  if (workers > 1 && recount_count >= options_.batch_min_parallel_tasks) {
+  if (workers > 1 && recount_count >= kMinParallelTasks) {
     const std::size_t chunks = std::min(recount_count, workers * 2);
     const std::size_t per = (recount_count + chunks - 1) / chunks;
     for (std::size_t c = 0; c < chunks; ++c) {

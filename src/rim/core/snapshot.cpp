@@ -13,6 +13,15 @@ constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 constexpr char kMagic[8] = {'R', 'I', 'M', 'S', 'N', 'A', 'P', '1'};
 
+// Reserved v2 option fields. They once carried the batch execution mode
+// (0 serial, 1 wave, 2 speculative) and the per-wave parallel task floor;
+// apply_batch now has one executor, so encoders write the values every
+// default snapshot carried and decoders ignore them (after range-checking
+// the mode byte, which keeps an out-of-range value a corruption error).
+constexpr std::uint8_t kReservedExecution = 1;
+constexpr std::uint8_t kReservedExecutionMax = 2;
+constexpr std::uint64_t kReservedTaskFloor = 4;
+
 std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = kFnvOffset;
   for (const std::uint8_t b : bytes) {
@@ -113,12 +122,12 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
   w.u64(s.edge_count);
   w.f64(s.cell_size);
   w.u8(static_cast<std::uint8_t>(s.options.strategy));
-  w.u8(static_cast<std::uint8_t>(s.options.execution));
+  w.u8(kReservedExecution);
   w.u64(s.options.auto_brute_max_nodes);
   w.u64(s.options.auto_grid_max_nodes);
   w.f64(s.options.max_touched_fraction);
   w.u64(s.options.touched_floor);
-  w.u64(s.options.batch_min_parallel_tasks);
+  w.u64(kReservedTaskFloor);
   for (const geom::Vec2 p : s.points) {
     w.f64(p.x);
     w.f64(p.y);
@@ -378,22 +387,21 @@ bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
   out.edge_count = static_cast<std::size_t>(edge_count);
   std::uint8_t strategy = 0;
   std::uint8_t execution = 0;
+  std::uint64_t task_floor = 0;
   if (!r.u8(strategy) || !r.u8(execution) ||
       !r.u64(out.options.auto_brute_max_nodes) ||
       !r.u64(out.options.auto_grid_max_nodes) ||
       !r.f64(out.options.max_touched_fraction) ||
-      !r.u64(out.options.touched_floor) ||
-      !r.u64(out.options.batch_min_parallel_tasks)) {
+      !r.u64(out.options.touched_floor) || !r.u64(task_floor)) {
     return decode_fail(error, "truncated options");
   }
   if (strategy > static_cast<std::uint8_t>(Strategy::kAuto)) {
     return decode_fail(error, "invalid strategy value");
   }
-  if (execution > static_cast<std::uint8_t>(Execution::kSpeculative)) {
+  if (execution > kReservedExecutionMax) {
     return decode_fail(error, "invalid execution value");
   }
   out.options.with_strategy(static_cast<Strategy>(strategy));
-  out.options.with_execution(static_cast<Execution>(execution));
   // Cheap sanity bound before reserving: every node needs at least
   // 24 payload bytes (point + radius), so a huge count is corruption.
   if (node_count > r.remaining() / 24 + 1) {

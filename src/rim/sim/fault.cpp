@@ -18,8 +18,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kDropMutation: return "drop_mutation";
     case FaultKind::kDuplicateMutation: return "duplicate_mutation";
     case FaultKind::kReorderMutations: return "reorder_mutations";
-    case FaultKind::kPoisonSpecTask: return "poison_spec_task";
-    case FaultKind::kSpecValidationFail: return "spec_validation_fail";
   }
   return "unknown";
 }
@@ -29,8 +27,7 @@ bool fault_kind_from_string(const std::string& name, FaultKind& kind) {
        {FaultKind::kNone, FaultKind::kCrashMidBatch,
         FaultKind::kPoisonDiskTask, FaultKind::kPoisonRecount,
         FaultKind::kDropMutation, FaultKind::kDuplicateMutation,
-        FaultKind::kReorderMutations, FaultKind::kPoisonSpecTask,
-        FaultKind::kSpecValidationFail}) {
+        FaultKind::kReorderMutations}) {
     if (name == to_string(k)) {
       kind = k;
       return true;
@@ -142,28 +139,6 @@ bool FaultInjector::before_recount(std::size_t index) {
   if (event_.kind == FaultKind::kPoisonRecount && index == event_.index) {
     fired_.store(true, std::memory_order_relaxed);
     return false;
-  }
-  return true;
-}
-
-bool FaultInjector::before_speculative_task(std::size_t task) {
-  if (event_.kind == FaultKind::kPoisonSpecTask && task == event_.index) {
-    fired_.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-bool FaultInjector::after_speculative_task(std::size_t task) {
-  if (event_.kind == FaultKind::kSpecValidationFail && task == event_.index) {
-    // One-shot by compare-exchange: concurrent workers may race here, but
-    // exactly one validation failure is ever delivered, so the rolled-back
-    // task's retry commits and the batch self-heals.
-    bool expected = false;
-    if (fired_.compare_exchange_strong(expected, true,
-                                       std::memory_order_relaxed)) {
-      return false;
-    }
   }
   return true;
 }

@@ -47,11 +47,6 @@ enum class FaultKind : std::uint8_t {
   kDropMutation,       ///< delete batch[index] before applying
   kDuplicateMutation,  ///< apply batch[index] twice
   kReorderMutations,   ///< swap batch[index] and batch[index+1]
-  // Speculative-execution faults (Execution::kSpeculative only; appended so
-  // the 1..6 draw in FaultPlan::generate keeps producing the same seeded
-  // streams — these two are reached via explicit events or from_json).
-  kPoisonSpecTask,      ///< veto speculative task `index` on every attempt
-  kSpecValidationFail,  ///< fail task `index`'s validation once (transient)
 };
 
 [[nodiscard]] const char* to_string(FaultKind kind);
@@ -63,9 +58,7 @@ enum class FaultKind : std::uint8_t {
 [[nodiscard]] constexpr bool is_engine_fault(FaultKind kind) {
   return kind == FaultKind::kCrashMidBatch ||
          kind == FaultKind::kPoisonDiskTask ||
-         kind == FaultKind::kPoisonRecount ||
-         kind == FaultKind::kPoisonSpecTask ||
-         kind == FaultKind::kSpecValidationFail;
+         kind == FaultKind::kPoisonRecount;
 }
 
 struct FaultEvent {
@@ -121,13 +114,6 @@ class FaultInjector final : public core::BatchHooks {
   bool before_mutation(std::size_t index) override;
   bool before_disk_task(std::size_t wave, std::size_t task) override;
   bool before_recount(std::size_t index) override;
-  /// kPoisonSpecTask: veto the task on every attempt (skips survive replay
-  /// rounds and the serial tail, so the corruption sticks — auditor fodder).
-  bool before_speculative_task(std::size_t task) override;
-  /// kSpecValidationFail: fail exactly once (compare-exchange on `fired_`),
-  /// so the executor rolls the task back, requeues it, and the retry
-  /// commits — the end state self-heals without snapshot recovery.
-  bool after_speculative_task(std::size_t task) override;
 
   /// Whether the fault actually struck (a poison aimed past the task list
   /// never fires; no recovery is needed then).

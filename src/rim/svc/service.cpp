@@ -114,8 +114,7 @@ io::Json ServiceCounters::to_json() const {
 
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
-      sessions_(config_.limits, config_.eval),
-      batch_pool_(config_.batch_pool_threads) {
+      sessions_(config_.limits, config_.eval) {
   registry_.add_source("svc", [this] {
     io::JsonObject object;
     object["counters"] = counters_.to_json();
@@ -513,7 +512,7 @@ std::string Service::dispatch_session_command(std::uint64_t id,
                 request.find("recover")->as_bool(true);
             const sim::FaultedBatchOutcome outcome =
                 sim::apply_batch_with_faults(s.scenario, batch, &event,
-                                             &batch_pool_, recover);
+                                             nullptr, recover);
             s.counters.mutations += outcome.result.applied;
             io::Json result_json = batch_result_to_json(outcome.result);
             io::JsonObject result = *result_json.as_object();
@@ -524,7 +523,7 @@ std::string Service::dispatch_session_command(std::uint64_t id,
         }
       } else {
         const core::BatchResult result =
-            s.scenario.apply_batch(batch, &batch_pool_);
+            s.scenario.apply_batch(batch, nullptr);
         s.counters.mutations += result.applied;
         reply = ok_reply(id, batch_result_to_json(result));
       }

@@ -11,7 +11,6 @@
 #include "rim/common/thread_annotations.hpp"
 #include "rim/obs/metrics.hpp"
 #include "rim/obs/registry.hpp"
-#include "rim/parallel/thread_pool.hpp"
 #include "rim/svc/handler.hpp"
 #include "rim/svc/protocol.hpp"
 #include "rim/svc/replica_store.hpp"
@@ -45,11 +44,13 @@
 ///
 /// **Threading.** Lock order is service-internal and strictly
 /// manager → session (session.hpp); handlers hold exactly one session
-/// mutex while touching its Scenario. Batches run on the service-owned
-/// `batch_pool_`, which is distinct from any transport dispatch pool —
-/// a handler executing *on* a dispatch-pool worker must not wait_idle()
-/// on that same pool (the §8 contract sim::WorkloadDriver documents),
-/// so the inner pipeline gets its own.
+/// mutex while touching its Scenario. Batches run inline on the handler
+/// thread (`apply_batch(batch, nullptr)`): concurrent sessions already
+/// occupy the transport's dispatch workers, and a handler on a
+/// dispatch-pool worker must not wait_idle() on a pool it shares (the §8
+/// contract sim::WorkloadDriver documents). A deferred batch still gets
+/// parallelism from the next query's full evaluation, which Strategy::kAuto
+/// runs on the shared pool for large sessions.
 ///
 /// Every counter here is an obs primitive; `metrics` serves the service's
 /// obs::Registry snapshot ("svc" plus one "svc.session.<id>" source per
@@ -61,8 +62,6 @@ struct ServiceConfig {
   SvcLimits limits;
   /// EvalOptions for every session's Scenario.
   core::EvalOptions eval{};
-  /// Workers for the batch pipeline pool (0 = hardware concurrency).
-  std::size_t batch_pool_threads = 0;
   /// Accept "fault"/"recover" fields on apply_batch (test/chaos tooling;
   /// production services keep this off and answer "fault_disabled").
   bool enable_fault_injection = false;
@@ -152,7 +151,6 @@ class Service final : public RequestHandler {
   ServiceConfig config_;
   SessionManager sessions_;
   ReplicaStore replicas_;
-  parallel::ThreadPool batch_pool_;
   obs::Registry registry_;
   ServiceCounters counters_;
 

@@ -63,9 +63,7 @@ struct Cluster {
                    std::uint64_t health_interval_ms = 200) {
     shard::RouterConfig config;
     for (std::size_t i = 0; i < backends; ++i) {
-      svc::ServiceConfig service_config;
-      service_config.batch_pool_threads = 1;
-      services.push_back(std::make_unique<svc::Service>(service_config));
+      services.push_back(std::make_unique<svc::Service>(svc::ServiceConfig{}));
       killed.push_back(std::make_shared<std::atomic<bool>>(false));
       drop_responses.push_back(std::make_shared<std::atomic<int>>(0));
       svc::Service* service = services.back().get();

@@ -65,9 +65,7 @@ struct Cluster {
   explicit Cluster(std::size_t backends, std::size_t ship_every = 1) {
     shard::RouterConfig config;
     for (std::size_t i = 0; i < backends; ++i) {
-      svc::ServiceConfig service_config;
-      service_config.batch_pool_threads = 1;
-      services.push_back(std::make_unique<svc::Service>(service_config));
+      services.push_back(std::make_unique<svc::Service>(svc::ServiceConfig{}));
       killed.push_back(std::make_shared<std::atomic<bool>>(false));
       drop_responses.push_back(std::make_shared<std::atomic<int>>(0));
       svc::Service* service = services.back().get();
@@ -109,7 +107,6 @@ std::string scrub_timings(std::string text) {
 
 TEST(ShardRouter, EveryWireCommandIsByteIdenticalToDirectService) {
   svc::ServiceConfig config;
-  config.batch_pool_threads = 1;
   svc::Service direct(config);
   Cluster cluster(1);
 
@@ -162,7 +159,6 @@ TEST(ShardRouter, EveryWireCommandIsByteIdenticalToDirectService) {
 
 TEST(ShardRouter, SnapshotRoundtripsThroughRouterByteExact) {
   svc::ServiceConfig config;
-  config.batch_pool_threads = 1;
   svc::Service direct(config);
   Cluster cluster(1);
   const std::vector<std::string> setup = {

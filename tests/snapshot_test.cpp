@@ -372,6 +372,65 @@ TEST(SnapshotTest, BinaryEncodingIsPinned) {
             R"(","format":"rim-snapshot","version":2})");
 }
 
+/// Overwrite the reserved execution byte and task-floor u64 of a v2
+/// encoding, then re-seal its FNV-1a trailer so only those fields differ.
+std::vector<std::uint8_t> with_reserved_options(std::vector<std::uint8_t> bytes,
+                                                std::uint8_t execution,
+                                                std::uint64_t task_floor) {
+  constexpr std::size_t kExecutionOffset = 41;  // magic..cell_size, strategy
+  constexpr std::size_t kTaskFloorOffset = 74;  // after touched_floor
+  bytes[kExecutionOffset] = execution;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kTaskFloorOffset + i] =
+        static_cast<std::uint8_t>(task_floor >> (8 * i));
+  }
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001B3ULL;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<std::uint8_t>(h >> (8 * i));
+  }
+  return bytes;
+}
+
+TEST(SnapshotTest, ReservedExecutionFieldsDecodeToCanonicalBytes) {
+  // Snapshots written while apply_batch still had selectable executors
+  // carry execution 0 (serial) or 2 (speculative) and any task floor. They
+  // must keep restoring, and re-encode to the canonical 1 and 4.
+  Scenario scenario{EvalOptions{}};
+  (void)scenario.add_node({0.0, 0.0});
+  (void)scenario.add_node({1.0, -0.0});
+  (void)scenario.add_node({0.5, 0.75});
+  (void)scenario.add_edge(0, 1);
+  (void)scenario.add_edge(1, 2);
+  (void)scenario.interference();
+  const std::vector<std::uint8_t> canonical = scenario.snapshot().to_bytes();
+  ASSERT_EQ(canonical[41], 1u);
+  ASSERT_EQ(canonical[74], 4u);
+
+  for (const std::uint8_t execution : {0, 2}) {
+    const std::vector<std::uint8_t> legacy =
+        with_reserved_options(canonical, execution, 16);
+    ASSERT_NE(legacy, canonical);
+    Snapshot decoded;
+    std::string error;
+    ASSERT_TRUE(Snapshot::from_bytes(legacy, decoded, error))
+        << "execution " << int{execution} << ": " << error;
+    EXPECT_EQ(decoded.to_bytes(), canonical) << "execution " << int{execution};
+    Scenario restored{EvalOptions{}};
+    ASSERT_TRUE(restored.restore(decoded, &error)) << error;
+    EXPECT_EQ(restored.snapshot().to_bytes(), canonical);
+  }
+
+  Snapshot refused;
+  std::string error;
+  EXPECT_FALSE(Snapshot::from_bytes(with_reserved_options(canonical, 3, 4),
+                                    refused, error));
+  EXPECT_NE(error.find("invalid execution value"), std::string::npos) << error;
+}
+
 TEST(SnapshotTest, ValidateCatchesStructuralLies) {
   Scenario scenario = make_scenario(12);
   (void)scenario.interference();

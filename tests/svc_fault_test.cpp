@@ -28,7 +28,6 @@ using core::Mutation;
 
 ServiceConfig fault_config() {
   ServiceConfig config;
-  config.batch_pool_threads = 2;
   config.enable_fault_injection = true;
   return config;
 }

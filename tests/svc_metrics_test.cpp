@@ -38,7 +38,6 @@ double number_at(const io::Json& root, const std::vector<std::string>& keys) {
 
 TEST(SvcMetrics, RegistrySnapshotCarriesGlobalAndPerSessionCounters) {
   ServiceConfig config;
-  config.batch_pool_threads = 2;
   Service service(config);
   LoopbackTransport transport(service);
   Client client(transport);
@@ -97,7 +96,6 @@ TEST(SvcMetrics, RegistrySnapshotCarriesGlobalAndPerSessionCounters) {
 
 TEST(SvcMetrics, RejectionsAndEvictionsAreCounted) {
   ServiceConfig config;
-  config.batch_pool_threads = 1;
   config.limits.max_live_sessions = 1;
   config.limits.spill_dir = ::testing::TempDir();
   Service service(config);
@@ -136,9 +134,7 @@ TEST(SvcMetrics, RejectionsAndEvictionsAreCounted) {
 }
 
 TEST(SvcMetrics, ClosedSessionsLeaveTheRegistry) {
-  ServiceConfig config;
-  config.batch_pool_threads = 1;
-  Service service(config);
+  Service service{ServiceConfig{}};
   LoopbackTransport transport(service);
   Client client(transport);
   std::uint64_t session = 0;

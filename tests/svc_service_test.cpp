@@ -34,12 +34,6 @@ std::string expect_ok(std::uint64_t id, io::JsonObject result) {
   return make_ok(id, io::Json(std::move(result)));
 }
 
-ServiceConfig loopback_config() {
-  ServiceConfig config;
-  config.batch_pool_threads = 2;
-  return config;
-}
-
 /// A small deterministic topology driven through both the wire and the
 /// twin: a triangle plus a pendant node.
 const std::vector<Mutation> kSeedBatch = {
@@ -52,7 +46,7 @@ const std::vector<Mutation> kSeedBatch = {
 class SvcLoopback : public ::testing::Test {
  protected:
   SvcLoopback()
-      : service_(loopback_config()), transport_(service_), client_(transport_) {}
+      : service_(ServiceConfig{}), transport_(service_), client_(transport_) {}
 
   /// Create a wire session and seed both it and the twin with kSeedBatch.
   std::uint64_t seeded_session() {
@@ -372,7 +366,7 @@ TEST_F(SvcLoopback, UnparseablePayloadIsBadFrame) {
 }
 
 TEST(SvcAdmission, OversizedFrameIsShedAsBadFrame) {
-  ServiceConfig config = loopback_config();
+  ServiceConfig config;
   config.limits.max_frame_bytes = 128;
   Service service(config);
   LoopbackTransport transport(service);
@@ -386,7 +380,7 @@ TEST(SvcAdmission, OversizedFrameIsShedAsBadFrame) {
 }
 
 TEST(SvcAdmission, InFlightCapShedsWithOverloaded) {
-  ServiceConfig config = loopback_config();
+  ServiceConfig config;
   config.limits.max_in_flight = 0;  // every request is excess load
   Service service(config);
   LoopbackTransport transport(service);
@@ -401,7 +395,7 @@ TEST(SvcAdmission, InFlightCapShedsWithOverloaded) {
 }
 
 TEST(SvcAdmission, SessionCapShedsWithOverloaded) {
-  ServiceConfig config = loopback_config();
+  ServiceConfig config;
   config.limits.max_sessions = 2;
   Service service(config);
   LoopbackTransport transport(service);
@@ -417,7 +411,7 @@ TEST(SvcAdmission, SessionCapShedsWithOverloaded) {
 }
 
 TEST(SvcAdmission, LiveCapWithoutSpillDirShedsAtCreate) {
-  ServiceConfig config = loopback_config();
+  ServiceConfig config;
   config.limits.max_live_sessions = 1;
   config.limits.spill_dir.clear();
   Service service(config);
@@ -430,7 +424,7 @@ TEST(SvcAdmission, LiveCapWithoutSpillDirShedsAtCreate) {
 }
 
 TEST(SvcEviction, LruSpillAndTransparentRestore) {
-  ServiceConfig config = loopback_config();
+  ServiceConfig config;
   config.limits.max_live_sessions = 1;
   config.limits.spill_dir = ::testing::TempDir();
   Service service(config);
@@ -476,7 +470,7 @@ TEST(SvcReplica, DuplicateReplicatePutIsIdempotent) {
   // the exact duplicate must answer success (the replica is already
   // durable), while a *different* snapshot at the same seq stays a
   // rejected stale write.
-  Service service(loopback_config());
+  Service service{ServiceConfig{}};
   ASSERT_NE(service.handle(R"({"cmd":"create_session","id":1})")
                 .find("\"ok\":true"),
             std::string::npos);
@@ -528,7 +522,7 @@ TEST(SvcReplica, DuplicateReplicatePutIsIdempotent) {
 TEST(SvcReplica, ReplicateChecksumIsPayloadChecksum) {
   // The peer answers with, and stores, the checksum its decode verified;
   // it must be the snapshot's payload_checksum().
-  Service service(loopback_config());
+  Service service{ServiceConfig{}};
   ASSERT_NE(service.handle(R"({"cmd":"create_session","id":1})")
                 .find("\"ok\":true"),
             std::string::npos);

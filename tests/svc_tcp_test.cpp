@@ -33,7 +33,6 @@ std::vector<Mutation> seed_batch() {
 
 TEST(SvcTcp, ResponsesMatchLoopbackByteForByte) {
   ServiceConfig config;
-  config.batch_pool_threads = 2;
   Service tcp_service(config);
   Service loopback_service(config);
 
@@ -95,7 +94,6 @@ TEST(SvcTcp, ResponsesMatchLoopbackByteForByte) {
 
 TEST(SvcTcp, ConcurrentClientsKeepSessionsIsolated) {
   ServiceConfig config;
-  config.batch_pool_threads = 2;
   config.limits.max_in_flight = 64;
   Service service(config);
   TcpServer server(service, {.port = 0, .dispatch_threads = 4});
@@ -162,7 +160,6 @@ TEST(SvcTcp, ConcurrentClientsKeepSessionsIsolated) {
 
 TEST(SvcTcp, OversizedFrameAnswersBadFrameAndDrops) {
   ServiceConfig config;
-  config.batch_pool_threads = 1;
   config.limits.max_frame_bytes = 64;
   Service service(config);
   TcpServer server(service, {.port = 0, .dispatch_threads = 1});
@@ -191,9 +188,7 @@ TEST(SvcTcp, OversizedFrameAnswersBadFrameAndDrops) {
 }
 
 TEST(SvcTcp, StopWithConnectedClientsIsClean) {
-  ServiceConfig config;
-  config.batch_pool_threads = 1;
-  Service service(config);
+  Service service{ServiceConfig{}};
   auto server = std::make_unique<TcpServer>(
       service, TcpServerConfig{.port = 0, .dispatch_threads = 2});
   std::string error;
@@ -215,9 +210,7 @@ TEST(SvcTcp, StopWithConnectedClientsIsClean) {
 }
 
 TEST(SvcTcp, PortZeroPicksDistinctEphemeralPorts) {
-  ServiceConfig config;
-  config.batch_pool_threads = 1;
-  Service service(config);
+  Service service{ServiceConfig{}};
   TcpServer first(service, {.port = 0, .dispatch_threads = 1});
   TcpServer second(service, {.port = 0, .dispatch_threads = 1});
   std::string error;

@@ -28,6 +28,10 @@ Rules:
     measured".
   * git_sha differences are expected (that is the point) and reported
     informationally.
+  * A baseline skipped whole — no fresh run produced it, or its host/build
+    stamp differs from the fresh run's — also prints a GitHub Actions
+    "::warning::" line, so a stale baseline shows up in the CI summary
+    instead of hiding as a SKIPPED row.
 
 The human-readable diff lands in --report (markdown, uploaded as a CI
 artifact) and on stdout. Exit status: 0 = no regression, 1 = a throughput
@@ -120,6 +124,11 @@ def compare_file(name: str, baseline: dict, fresh: dict, threshold: float):
         yield (key, base_value, float(fresh_value), delta, status)
 
 
+def warn(name: str, reason: str) -> None:
+    """Surface a skipped baseline as a GitHub Actions warning annotation."""
+    print(f"::warning title=check_bench::{name}: {reason}")
+
+
 def fmt(value) -> str:
     if value is None:
         return "-"
@@ -156,6 +165,8 @@ def main() -> int:
             lines.append("")
             lines.append("SKIPPED: no fresh run produced this snapshot")
             lines.append("")
+            warn(name, "no fresh run produced this snapshot; "
+                 "its baseline is not checked")
             continue
         try:
             baseline = bench_section(baseline_path)
@@ -176,6 +187,10 @@ def main() -> int:
                          f"| {delta_s} | {status} |")
             if status.startswith("FAIL"):
                 failed = True
+            if status == "SKIPPED: host/build mismatch":
+                warn(name, f"host/build mismatch on {field.strip('()')} "
+                     f"(baseline {fmt(base_v)}, fresh {fmt(fresh_v)}); "
+                     "throughput rows are not compared")
         lines.append("")
 
     verdict = ("REGRESSION: a checksum differs or a gated field dropped past "

@@ -10,6 +10,10 @@ checksum rule can decide the exit status:
   * identical checksums must exit 0;
   * a fresh run with fewer tiers (the 100k smoke) must exit 0.
 
+A fourth case checks that skipped baselines are visible: the host mismatch
+and a baseline with no fresh run (BENCH_7.json here) must each print a
+GitHub Actions "::warning::" line, without changing the exit status.
+
 Run: python3 tools/check_bench_test.py (exit 0 = all cases behaved).
 """
 
@@ -34,7 +38,8 @@ def snapshot(hardware_threads: int, checksums: list[str]) -> dict:
                       "tiers": tiers}}
 
 
-def run_gate(root: Path, fresh_checksums: list[str]) -> int:
+def run_gate(root: Path, fresh_checksums: list[str],
+             orphan_baseline: bool = False) -> subprocess.CompletedProcess:
     baseline = root / "baseline"
     fresh = root / "fresh"
     for d in (baseline, fresh):
@@ -42,10 +47,15 @@ def run_gate(root: Path, fresh_checksums: list[str]) -> int:
     (baseline / "BENCH_8.json").write_text(json.dumps(snapshot(1, CHECKSUMS)))
     (fresh / "BENCH_8.json").write_text(
         json.dumps(snapshot(4, fresh_checksums)))
+    orphan = baseline / "BENCH_7.json"
+    if orphan_baseline:
+        orphan.write_text(json.dumps(snapshot(1, CHECKSUMS)))
+    elif orphan.exists():
+        orphan.unlink()
     return subprocess.run(
         [sys.executable, str(GATE), "--baseline-dir", str(baseline),
          "--fresh-dir", str(fresh)],
-        stdout=subprocess.DEVNULL, check=False).returncode
+        capture_output=True, text=True, check=False)
 
 
 def main() -> int:
@@ -57,9 +67,20 @@ def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, fresh_checksums, expected in cases:
-            code = run_gate(Path(tmp), fresh_checksums)
+            code = run_gate(Path(tmp), fresh_checksums).returncode
             if code != expected:
                 failures.append(f"{name}: exit {code}, expected {expected}")
+        run = run_gate(Path(tmp), CHECKSUMS, orphan_baseline=True)
+        warnings = [line for line in run.stdout.splitlines()
+                    if line.startswith("::warning")]
+        if run.returncode != 0:
+            failures.append(f"skipped baselines: exit {run.returncode}, "
+                            "expected 0")
+        for needle in ("BENCH_8.json: host/build mismatch",
+                       "BENCH_7.json: no fresh run"):
+            if not any(needle in line for line in warnings):
+                failures.append(f"skipped baselines: no ::warning:: line "
+                                f"containing {needle!r}")
     for f in failures:
         print(f"check_bench self-test: {f}", file=sys.stderr)
     print("check_bench self-test:", "FAILED" if failures else "ok")

@@ -58,7 +58,7 @@ const std::vector<RuleInfo> kRules = {
      "new knobs keep one construction surface"},
     {kProjectTaint,
      "[--project] a function reachable from a checksum-pinned entry point "
-     "(apply_batch, SpeculativeExecutor, SinrAssessor, snapshot "
+     "(apply_batch, SinrAssessor, snapshot "
      "serialization, the _scalar SIMD twins) touches a nondeterminism "
      "source: unordered/pointer-keyed iteration, raw randomness outside "
      "the entropy homes, or wall-clock reads outside rim/obs/"},

@@ -919,9 +919,7 @@ BodyFacts analyze_body(const Index& index, const FunctionDef& fn) {
 
 [[nodiscard]] bool is_seed(const FunctionDef& f) {
   if (f.name == "apply_batch") return true;
-  if (f.klass == "SpeculativeExecutor" || f.klass == "SinrAssessor") {
-    return true;
-  }
+  if (f.klass == "SinrAssessor") return true;
   if (f.file.find("core/snapshot") != std::string::npos) return true;
   if (f.name.size() > 7 &&
       f.name.compare(f.name.size() - 7, 7, "_scalar") == 0) {

@@ -13,8 +13,8 @@
 /// an approximate (name-based) call graph, and runs three passes on top:
 ///
 ///  - project-taint: reachability from the checksum-pinned entry points
-///    (Scenario::apply_batch, SpeculativeExecutor, SinrAssessor, snapshot
-///    serialization, the `_scalar` SIMD twins) to any nondeterminism source
+///    (Scenario::apply_batch, SinrAssessor, snapshot serialization, the
+///    `_scalar` SIMD twins) to any nondeterminism source
 ///    (unordered/pointer-keyed iteration, raw randomness outside the entropy
 ///    homes, wall-clock reads outside rim/obs/).
 ///  - project-lock-order: acquisition sequences checked against the partial

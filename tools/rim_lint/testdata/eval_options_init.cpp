@@ -7,17 +7,17 @@
 
 namespace rim::core {
 enum class Strategy { kAuto, kBrute };
-enum class Execution { kWave };
+enum class Model { kReceiverCentric };
 struct EvalOptions {
   Strategy strategy = Strategy::kAuto;
-  Execution execution = Execution::kWave;
+  Model model = Model::kReceiverCentric;
   std::size_t touched_floor = 64;
   EvalOptions& with_strategy(Strategy s) {
     strategy = s;
     return *this;
   }
-  EvalOptions& with_execution(Execution e) {
-    execution = e;
+  EvalOptions& with_model(Model m) {
+    model = m;
     return *this;
   }
 };
@@ -26,7 +26,7 @@ struct EvalOptions {
 namespace fixture {
 
 using rim::core::EvalOptions;
-using rim::core::Execution;
+using rim::core::Model;
 using rim::core::Strategy;
 
 // Violation: single designated field.
@@ -38,12 +38,12 @@ const EvalOptions bad_two =
 
 // Violation: qualified name.
 const rim::core::EvalOptions bad_three =
-    rim::core::EvalOptions{.execution = Execution::kWave};
+    rim::core::EvalOptions{.model = Model::kReceiverCentric};
 
 // Clean: default construction and builder chains.
 const EvalOptions good_default = EvalOptions{};
 const EvalOptions good_chain =
-    EvalOptions{}.with_strategy(Strategy::kBrute).with_execution(
-        Execution::kWave);
+    EvalOptions{}.with_strategy(Strategy::kBrute).with_model(
+        Model::kReceiverCentric);
 
 }  // namespace fixture
