@@ -166,12 +166,10 @@ int main() {
           requests += results[s].requests;
           mutations += results[s].mutations;
         }
-        const io::Json svc_stats = service.counters().to_json();
-        const io::Json* latency = svc_stats.find("latency_ns");
-        const double p50 =
-            latency ? latency->find("p50")->as_number(0.0) : 0.0;
-        const double p99 =
-            latency ? latency->find("p99")->as_number(0.0) : 0.0;
+        const io::Json latency =
+            service.frontend_counters().latency_ns.to_json();
+        const double p50 = latency.find("p50")->as_number(0.0);
+        const double p99 = latency.find("p99")->as_number(0.0);
 
         io::Table table({"sessions", "requests", "mutations", "wall ms",
                          "req/s", "p50 us", "p99 us"});
@@ -267,7 +265,7 @@ int main() {
         }
         for (std::thread& pusher : pushers) pusher.join();
         const std::uint64_t counted_shed =
-            gated.counters().rejected_overloaded.value();
+            gated.frontend_counters().rejected_overloaded.value();
         out << "overload: " << answered.load() << " answered, " << shed.load()
             << " shed with explicit responses (service counted "
             << counted_shed << "), " << other.load() << " other errors\n";

@@ -178,10 +178,10 @@ int main() {
           requests += timed[s].ok;
           sheds += timed[s].shed;
         }
-        const io::Json svc_stats = service.counters().to_json();
-        const io::Json* latency = svc_stats.find("latency_ns");
-        const double p50 = latency ? latency->find("p50")->as_number(0.0) : 0.0;
-        const double p99 = latency ? latency->find("p99")->as_number(0.0) : 0.0;
+        const io::Json latency =
+            service.frontend_counters().latency_ns.to_json();
+        const double p50 = latency.find("p50")->as_number(0.0);
+        const double p99 = latency.find("p99")->as_number(0.0);
         const double req_per_s =
             load_ms > 0.0 ? double(requests) * 1000.0 / load_ms : 0.0;
 

@@ -18,6 +18,7 @@
 /// `serve` backends with the consistent-hash shard tier (DESIGN.md §14) —
 /// clients talk to it with the exact same protocol.
 
+#include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -255,10 +256,22 @@ int cmd_route(const Args& args) {
 // ---------------------------------------------------------------------------
 // serve / client: the rim::svc wire protocol over localhost TCP.
 
-svc::Service* g_serving = nullptr;
+/// The front end (serve or router) that SIGINT/SIGTERM stop. A lock-free
+/// atomic, so the handler does only async-signal-safe work: one load and
+/// Frontend::request_shutdown()'s one store.
+std::atomic<svc::Frontend*> g_stoppable{nullptr};
+static_assert(std::atomic<svc::Frontend*>::is_always_lock_free);
 
 void handle_stop_signal(int) {
-  if (g_serving != nullptr) g_serving->request_shutdown();
+  svc::Frontend* frontend = g_stoppable.load();
+  if (frontend != nullptr) frontend->request_shutdown();
+}
+
+/// Route SIGINT/SIGTERM to \p frontend's shutdown flag (nullptr: ignore).
+void stop_on_signals(svc::Frontend* frontend) {
+  g_stoppable.store(frontend);
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
 }
 
 /// `rim_cli serve --port N --max-sessions K [--max-live L] [--threads T]
@@ -285,26 +298,18 @@ int cmd_serve(const Args& args) {
     std::cerr << "serve: " << error << '\n';
     return 1;
   }
-  g_serving = &service;
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
+  stop_on_signals(&service);
   std::cout << "rim_cli serve: listening on 127.0.0.1:" << server.port()
             << " (max " << config.limits.max_sessions << " sessions, "
             << config.limits.max_live_sessions << " live)" << std::endl;
   service.wait_shutdown();
   server.stop();
-  g_serving = nullptr;
-  const svc::ServiceCounters& c = service.counters();
+  stop_on_signals(nullptr);
+  const svc::FrontendCounters& c = service.frontend_counters();
   std::cout << "rim_cli serve: clean shutdown after " << c.requests.value()
             << " requests (" << c.ok.value() << " ok, " << c.errors.value()
             << " errors, " << c.rejected_overloaded.value() << " shed)\n";
   return 0;
-}
-
-shard::Router* g_routing = nullptr;
-
-void handle_router_stop_signal(int) {
-  if (g_routing != nullptr) g_routing->request_shutdown();
 }
 
 /// `rim_cli router --port N --backends host:port[,host:port...]
@@ -373,20 +378,20 @@ int cmd_router(const Args& args) {
     return 1;
   }
   router.start_health_monitor();
-  g_routing = &router;
-  std::signal(SIGINT, handle_router_stop_signal);
-  std::signal(SIGTERM, handle_router_stop_signal);
+  stop_on_signals(&router);
   std::cout << "rim_cli router: listening on 127.0.0.1:" << server.port()
             << " over " << router.config().backends.size() << " backends"
             << std::endl;
   router.wait_shutdown();
   server.stop();
   router.stop();
-  g_routing = nullptr;
+  stop_on_signals(nullptr);
+  const svc::FrontendCounters& front = router.frontend_counters();
   const shard::RouterCounters& c = router.counters();
-  std::cout << "rim_cli router: clean shutdown after " << c.requests.value()
-            << " requests (" << c.ok.value() << " ok, " << c.errors.value()
-            << " errors, " << c.failovers.value() << " failovers, "
+  std::cout << "rim_cli router: clean shutdown after "
+            << front.requests.value() << " requests (" << front.ok.value()
+            << " ok, " << front.errors.value() << " errors, "
+            << c.failovers.value() << " failovers, "
             << c.sessions_moved.value() << " sessions moved, "
             << c.lost_sessions.value() << " lost)\n";
   return 0;

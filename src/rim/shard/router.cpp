@@ -10,26 +10,6 @@ namespace rim::shard {
 
 namespace {
 
-/// Commands whose acked application changes session state — exactly the
-/// set the Replicator must journal for the failover replay to reconstruct
-/// acked state (svc/service.cpp's mutation surface).
-bool is_mutating(const std::string& command) {
-  return command == svc::cmd::kAddNode || command == svc::cmd::kRemoveNode ||
-         command == svc::cmd::kAddEdge || command == svc::cmd::kRemoveEdge ||
-         command == svc::cmd::kMove || command == svc::cmd::kApplyBatch ||
-         command == svc::cmd::kRestore;
-}
-
-/// The session-scoped command set the backends accept — kept in lockstep
-/// with Service::dispatch_session_command so the router's unknown-command
-/// envelope is byte-identical to a direct service's.
-bool is_session_command(const std::string& command) {
-  return is_mutating(command) || command == svc::cmd::kAssess ||
-         command == svc::cmd::kQueryInterference ||
-         command == svc::cmd::kSnapshot ||
-         command == svc::cmd::kSessionStats;
-}
-
 std::vector<std::unique_ptr<Backend>> make_backends(
     const RouterConfig& config) {
   std::vector<std::unique_ptr<Backend>> backends;
@@ -72,25 +52,18 @@ const char* backend_state_name(BackendState state) {
   return "down";
 }
 
-io::Json RouterCounters::to_json() const {
-  io::JsonObject object;
-  object["errors"] = errors.to_json();
+void RouterCounters::write_json(io::JsonObject& object) const {
   object["failovers"] = failovers.to_json();
   object["forward_failures"] = forward_failures.to_json();
-  object["handle_ns"] = handle_ns.to_json();
-  object["latency_ns"] = latency_ns.to_json();
   object["lost_sessions"] = lost_sessions.to_json();
-  object["ok"] = ok.to_json();
-  object["rejected_bad_frame"] = rejected_bad_frame.to_json();
-  object["rejected_overloaded"] = rejected_overloaded.to_json();
-  object["requests"] = requests.to_json();
   object["routed"] = routed.to_json();
   object["sessions_moved"] = sessions_moved.to_json();
-  return io::Json(std::move(object));
 }
 
 Router::Router(RouterConfig config)
-    : config_(std::move(config)),
+    : Frontend(config.max_in_flight, config.max_frame_bytes,
+               config.allow_shutdown),
+      config_(std::move(config)),
       backends_(make_backends(config_)),
       replicator_(config_.replication),
       exchange_([this](const std::string& backend, const std::string& payload,
@@ -106,19 +79,18 @@ Router::Router(RouterConfig config)
       ring_.add(backend->name);
     }
   }
-  registry_.add_source("shard.router", [this] {
+  registry().add_source("shard.router", [this] {
     io::JsonObject object;
     object["backends"] = io::Json(backends_.size());
-    object["counters"] = counters_.to_json();
-    object["in_flight"] =
-        io::Json(in_flight_.load(std::memory_order_relaxed));
+    object["counters"] = counters_json(counters_);
+    object["in_flight"] = io::Json(in_flight());
     object["replication"] = replicator_.counters().to_json();
     object["sessions"] = io::Json(session_count());
     return io::Json(std::move(object));
   });
   for (const std::unique_ptr<Backend>& backend : backends_) {
     Backend* raw = backend.get();
-    registry_.add_source(backend_source_name(raw->name), [raw] {
+    registry().add_source(backend_source_name(raw->name), [raw] {
       io::JsonObject object;
       object["failed"] = raw->failed.to_json();
       object["routed"] = raw->routed.to_json();
@@ -132,96 +104,16 @@ Router::Router(RouterConfig config)
 Router::~Router() {
   stop();
   for (const std::unique_ptr<Backend>& backend : backends_) {
-    registry_.remove_source(backend_source_name(backend->name));
+    registry().remove_source(backend_source_name(backend->name));
   }
-  registry_.remove_source("shard.router");
-}
-
-Router::Ticket Router::try_admit() {
-  const std::size_t previous =
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-  if (previous >= config_.max_in_flight) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return Ticket();
-  }
-  return Ticket(this);
-}
-
-std::string Router::overloaded_response(std::string_view payload) {
-  ++counters_.requests;
-  ++counters_.errors;
-  ++counters_.rejected_overloaded;
-  return svc::make_error(svc::peek_request_id(payload), svc::code::kOverloaded,
-                         "service at max in-flight requests (" +
-                             std::to_string(config_.max_in_flight) +
-                             "); retry later");
-}
-
-std::string Router::handle_admitted(std::string_view payload) {
-  const obs::ScopedTimer timer(counters_.handle_ns, &counters_.latency_ns);
-  ++counters_.requests;
-  return dispatch(payload);
-}
-
-std::string Router::dispatch(std::string_view payload) {
-  io::Json request;
-  std::string error;
-  if (!io::Json::parse(payload, request, error)) {
-    ++counters_.errors;
-    ++counters_.rejected_bad_frame;
-    return svc::make_error(0, svc::code::kBadFrame, error);
-  }
-  if (!request.is_object()) {
-    ++counters_.errors;
-    return svc::make_error(0, svc::code::kBadRequest,
-                           "request must be a JSON object");
-  }
-  std::uint64_t id = 0;
-  const io::Json* id_field = request.find("id");
-  if (id_field != nullptr) {
-    (void)svc::json_to_u64(*id_field,
-                           std::numeric_limits<std::uint64_t>::max(), id);
-  }
-  const io::Json* cmd_field = request.find("cmd");
-  const std::string* command =
-      cmd_field != nullptr ? cmd_field->as_string() : nullptr;
-  if (command == nullptr) {
-    ++counters_.errors;
-    return svc::make_error(id, svc::code::kBadRequest,
-                           "field 'cmd' must be a command name string");
-  }
-  std::string response = dispatch_command(id, *command, request);
-  if (response.find("\"ok\":true") != std::string::npos) {
-    ++counters_.ok;
-  } else {
-    ++counters_.errors;
-  }
-  return response;
+  registry().remove_source("shard.router");
 }
 
 std::string Router::dispatch_command(std::uint64_t id,
                                      const std::string& command,
                                      const io::Json& request) {
-  if (command == svc::cmd::kPing) {
-    io::JsonObject result;
-    result["pong"] = io::Json(true);
-    return svc::make_ok(id, io::Json(std::move(result)));
-  }
-  if (command == svc::cmd::kMetrics) {
-    return svc::make_ok(id, registry_.snapshot());
-  }
   if (command == svc::cmd::kShardStatus) {
     return shard_status(id);
-  }
-  if (command == svc::cmd::kShutdown) {
-    if (!config_.allow_shutdown) {
-      return svc::make_error(id, svc::code::kShutdownDisabled,
-                             "this service does not accept shutdown requests");
-    }
-    request_shutdown();
-    io::JsonObject result;
-    result["shutting_down"] = io::Json(true);
-    return svc::make_ok(id, io::Json(std::move(result)));
   }
   if (command == svc::cmd::kCreateSession) {
     return create_session(id);
@@ -308,19 +200,15 @@ std::string Router::create_session(std::uint64_t id) {
 }
 
 std::string Router::close_session(std::uint64_t id, const io::Json& request) {
-  const io::Json* session_field = request.find("session");
-  std::uint64_t session_id = 0;
-  if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(),
-                        session_id)) {
-    return svc::make_error(id, svc::code::kBadRequest,
-                           "field 'session' must be an integer session id");
+  const auto session_id =
+      svc::u64_field(request, "session", "an integer session id");
+  if (!session_id) {
+    return svc::make_error(id, svc::code::kBadRequest, session_id.error());
   }
-  const std::shared_ptr<SessionEntry> entry = find_entry(session_id);
+  const std::shared_ptr<SessionEntry> entry = find_entry(*session_id);
   if (entry == nullptr) {
     return svc::make_error(id, svc::code::kNoSession,
-                           "no session " + std::to_string(session_id));
+                           "no session " + std::to_string(*session_id));
   }
   std::string response;
   {
@@ -361,36 +249,32 @@ std::string Router::close_session(std::uint64_t id, const io::Json& request) {
       response = svc::make_ok(id, io::Json(std::move(result)));
     }
   }
-  erase_entry(session_id);
+  erase_entry(*session_id);
   return response;
 }
 
 std::string Router::route_session_command(std::uint64_t id,
                                           const std::string& command,
                                           const io::Json& request) {
-  if (!is_session_command(command)) {
+  if (!svc::is_session_command(command)) {
     return svc::make_error(id, svc::code::kUnknownCommand,
                            "unknown command '" + command + "'");
   }
-  const io::Json* session_field = request.find("session");
-  std::uint64_t session_id = 0;
-  if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(),
-                        session_id)) {
-    return svc::make_error(id, svc::code::kBadRequest,
-                           "field 'session' must be an integer session id");
+  const auto session_id =
+      svc::u64_field(request, "session", "an integer session id");
+  if (!session_id) {
+    return svc::make_error(id, svc::code::kBadRequest, session_id.error());
   }
-  const std::shared_ptr<SessionEntry> entry = find_entry(session_id);
+  const std::shared_ptr<SessionEntry> entry = find_entry(*session_id);
   if (entry == nullptr) {
     return svc::make_error(id, svc::code::kNoSession,
-                           "no session " + std::to_string(session_id));
+                           "no session " + std::to_string(*session_id));
   }
   common::MutexLock lock(entry->entry_mutex);
   if (entry->lost) {
     return svc::make_error(
         id, svc::code::kConnectionLost,
-        "session " + std::to_string(session_id) + " was lost in a failover");
+        "session " + std::to_string(*session_id) + " was lost in a failover");
   }
   return forward_locked(*entry, id, command, request);
 }
@@ -425,7 +309,7 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
     const svc::TransportStatus status =
         exchange_with(*backend, payload, response);
     if (status == svc::TransportStatus::kOk) {
-      if (is_mutating(command) && response_is_ok(response) &&
+      if (svc::is_mutating_command(command) && response_is_ok(response) &&
           replicator_.record_mutation(entry.repl, payload, obs::now_ns())) {
         const std::string peer = pick_peer_for(entry.id, entry.owner);
         if (!peer.empty()) {
@@ -756,21 +640,6 @@ void Router::stop() {
   health_cv_.notify_all();
   if (health_thread_.joinable()) health_thread_.join();
   health_running_.store(false, std::memory_order_release);
-}
-
-void Router::wait_shutdown() {
-  common::MutexLock lock(shutdown_mutex_);
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    shutdown_cv_.wait(lock.native());
-  }
-}
-
-void Router::request_shutdown() {
-  {
-    common::MutexLock lock(shutdown_mutex_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  shutdown_cv_.notify_all();
 }
 
 }  // namespace rim::shard

@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,31 +15,31 @@
 #include "rim/common/thread_annotations.hpp"
 #include "rim/io/json.hpp"
 #include "rim/obs/metrics.hpp"
-#include "rim/obs/registry.hpp"
 #include "rim/shard/hash_ring.hpp"
 #include "rim/shard/replicator.hpp"
 #include "rim/shard/retry.hpp"
-#include "rim/svc/handler.hpp"
+#include "rim/svc/frontend.hpp"
 #include "rim/svc/transport.hpp"
 
 /// \file router.hpp
 /// The shard router: a consistent-hash front tier over N backend
 /// svc::Service processes (DESIGN.md §14).
 ///
-/// The Router is itself a svc::RequestHandler, so it serves the existing
-/// length-prefixed JSON wire protocol *unchanged* through the existing
-/// transports (svc::TcpServer, svc::LoopbackTransport) — clients speak to
-/// it exactly as they would to a single Service. Downstream it speaks the
-/// same protocol to each backend over an injected Transport (TCP for real
-/// deployments, loopback for tests/benches).
+/// The Router is a svc::Frontend — the same front door as svc::Service
+/// (admission, envelope prologue, ping/metrics/shutdown) — so it serves
+/// the existing length-prefixed JSON wire protocol *unchanged* through the
+/// existing transports (svc::TcpServer, svc::LoopbackTransport) and
+/// clients speak to it exactly as they would to a single Service.
+/// Downstream it speaks the same protocol to each backend over an injected
+/// Transport (TCP for real deployments, loopback for tests/benches).
 ///
 /// **Routing.** Session ids are router-assigned and consistent-hashed
 /// onto the backend ring (hash_ring.hpp). Session commands are forwarded
 /// with only the "session" field rewritten to the backend-local id and
 /// the response passed through verbatim, so a router-mediated exchange is
 /// byte-identical to a direct one (tests/shard_router_test.cpp pins this
-/// command by command). ping/metrics/shard_status/shutdown are answered
-/// by the router itself.
+/// command by command). ping/metrics/shutdown (Frontend) and
+/// shard_status are answered by the router itself.
 ///
 /// **Replication & failover.** After every acked mutating command the
 /// session's Replicator journal grows; at the configured cadence the
@@ -108,22 +107,17 @@ struct RouterConfig {
   bool allow_shutdown = false;
 };
 
-/// Router-global counters (lock-free; the "shard.router" registry source).
+/// Counters only a Router keeps (lock-free; the shared front-end counters
+/// live in svc::Frontend, and both land in the "shard.router" source's
+/// "counters" object).
 struct RouterCounters {
-  obs::Counter requests;            ///< payloads handled (ok + error)
-  obs::Counter ok;                  ///< answered ok=true
-  obs::Counter errors;              ///< answered ok=false (any code)
-  obs::Counter rejected_overloaded; ///< shed by the router in-flight gate
-  obs::Counter rejected_bad_frame;  ///< unparseable payloads
   obs::Counter routed;              ///< exchanges forwarded to backends
   obs::Counter forward_failures;    ///< forwards failed after failover
   obs::Counter failovers;           ///< backend transitions to kDown
   obs::Counter sessions_moved;      ///< sessions migrated to a new owner
   obs::Counter lost_sessions;       ///< sessions no backend could restore
-  obs::Counter handle_ns;           ///< total time inside handle paths
-  obs::Histogram latency_ns;        ///< per-request handling latency
 
-  [[nodiscard]] io::Json to_json() const;
+  void write_json(io::JsonObject& object) const;
 };
 
 /// One backend's runtime: connection, probe schedule, failover state.
@@ -175,23 +169,10 @@ struct SessionEntry {
   ReplicaState repl RIM_GUARDED_BY(entry_mutex);
 };
 
-class Router final : public svc::RequestHandler {
+class Router final : public svc::Frontend {
  public:
   explicit Router(RouterConfig config);
   ~Router() override;
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  using Ticket = svc::RequestHandler::Ticket;
-
-  [[nodiscard]] Ticket try_admit() override;
-  [[nodiscard]] std::string handle_admitted(std::string_view payload) override;
-  [[nodiscard]] std::string overloaded_response(
-      std::string_view payload) override;
-  [[nodiscard]] std::size_t max_frame_bytes() const override {
-    return config_.max_frame_bytes;
-  }
 
   /// Start the background health monitor (idempotent). Tests drive
   /// health_sweep() directly with synthetic time instead.
@@ -205,7 +186,6 @@ class Router final : public svc::RequestHandler {
   void health_sweep(std::uint64_t now_ns);
 
   [[nodiscard]] const RouterConfig& config() const { return config_; }
-  [[nodiscard]] obs::Registry& registry() { return registry_; }
   [[nodiscard]] const RouterCounters& counters() const { return counters_; }
   [[nodiscard]] const Replicator& replicator() const { return replicator_; }
 
@@ -214,27 +194,10 @@ class Router final : public svc::RequestHandler {
   /// State of backend \p name (kDown when unknown).
   [[nodiscard]] BackendState backend_state(const std::string& name) const;
 
-  /// True once a "shutdown" command was accepted.
-  [[nodiscard]] bool shutdown_requested() const {
-    return shutdown_.load(std::memory_order_acquire);
-  }
-
-  /// Block until shutdown_requested() (rim_cli router's main loop).
-  void wait_shutdown() RIM_EXCLUDES(shutdown_mutex_);
-
-  /// Trip the shutdown flag locally (tests; signal handlers).
-  void request_shutdown() RIM_EXCLUDES(shutdown_mutex_);
-
- protected:
-  void release_admission() override {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
  private:
-  [[nodiscard]] std::string dispatch(std::string_view payload);
   [[nodiscard]] std::string dispatch_command(std::uint64_t id,
                                              const std::string& command,
-                                             const io::Json& request);
+                                             const io::Json& request) override;
   [[nodiscard]] std::string create_session(std::uint64_t id);
   [[nodiscard]] std::string close_session(std::uint64_t id,
                                           const io::Json& request);
@@ -288,12 +251,10 @@ class Router final : public svc::RequestHandler {
   /// Fixed at construction; Backend instances own all mutable state.
   const std::vector<std::unique_ptr<Backend>> backends_;
   Replicator replicator_;
-  obs::Registry registry_;
   RouterCounters counters_;
   /// Name-addressed exchange closure handed to the Replicator.
   const Exchange exchange_;
 
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> health_running_{false};
 
@@ -310,10 +271,6 @@ class Router final : public svc::RequestHandler {
   common::Mutex health_mutex_;
   std::condition_variable health_cv_;
   std::thread health_thread_;
-
-  std::atomic<bool> shutdown_{false};
-  common::Mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
 };
 
 }  // namespace rim::shard

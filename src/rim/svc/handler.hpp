@@ -7,10 +7,8 @@
 /// \file handler.hpp
 /// The transport-facing request surface of the serving layer.
 ///
-/// Transports (LoopbackTransport, TcpServer) historically spoke to a
-/// concrete svc::Service. The shard router (src/rim/shard) answers the
-/// same wire protocol without being a Service, so the four operations a
-/// transport actually needs are factored into this interface:
+/// Transports (LoopbackTransport, TcpServer) need exactly four operations
+/// from whatever answers the wire protocol:
 ///
 ///  - try_admit(): claim one in-flight slot *before* enqueueing dispatch
 ///    work (the shed-not-queue contract, DESIGN.md §9). The returned
@@ -22,6 +20,12 @@
 ///
 /// handle() composes admit + dispatch for callers without their own
 /// queueing (the loopback path).
+///
+/// svc::Frontend (frontend.hpp) is the library's one front door behind
+/// this interface: svc::Service and shard::Router both derive from it and
+/// add only their command tables, which is why a client cannot tell them
+/// apart. The interface stays a separate seam so a decorator (a timing
+/// wrapper, a test double) can stand in front of any handler.
 
 namespace rim::svc {
 

@@ -88,6 +88,47 @@ io::Json mutation_to_json(const core::Mutation& mutation) {
   return io::Json(std::move(object));
 }
 
+namespace {
+
+struct SessionCommand {
+  const char* name;
+  bool mutating;
+};
+
+/// The one session-command table (Service runs these, Router forwards and
+/// journals them).
+constexpr SessionCommand kSessionCommands[] = {
+    {cmd::kAddNode, true},
+    {cmd::kRemoveNode, true},
+    {cmd::kAddEdge, true},
+    {cmd::kRemoveEdge, true},
+    {cmd::kMove, true},
+    {cmd::kApplyBatch, true},
+    {cmd::kRestore, true},
+    {cmd::kAssess, false},
+    {cmd::kQueryInterference, false},
+    {cmd::kSnapshot, false},
+    {cmd::kSessionStats, false},
+};
+
+const SessionCommand* find_session_command(std::string_view command) {
+  for (const SessionCommand& entry : kSessionCommands) {
+    if (command == entry.name) return &entry;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool is_session_command(std::string_view command) {
+  return find_session_command(command) != nullptr;
+}
+
+bool is_mutating_command(std::string_view command) {
+  const SessionCommand* entry = find_session_command(command);
+  return entry != nullptr && entry->mutating;
+}
+
 bool json_to_u64(const io::Json& json, std::uint64_t max, std::uint64_t& out) {
   if (!json.is_number()) return false;
   const double value = json.as_number();
@@ -191,6 +232,19 @@ bool mutation_batch_from_json(const io::Json& json,
     out.push_back(mutation);
   }
   return true;
+}
+
+common::Expected<std::uint64_t, std::string> u64_field(const io::Json& request,
+                                                       const char* key,
+                                                       const char* what) {
+  const io::Json* field = request.find(key);
+  std::uint64_t value = 0;
+  if (field == nullptr ||
+      !json_to_u64(*field, std::numeric_limits<std::uint64_t>::max(), value)) {
+    return common::Unexpected(std::string("field '") + key + "' must be " +
+                              what);
+  }
+  return value;
 }
 
 std::uint64_t peek_request_id(std::string_view payload) {

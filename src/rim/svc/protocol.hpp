@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rim/common/expected.hpp"
 #include "rim/core/scenario.hpp"
 #include "rim/io/json.hpp"
 
@@ -98,6 +99,17 @@ inline constexpr const char* kDropReplica = "drop_replica";
 inline constexpr const char* kShardStatus = "shard_status";
 }  // namespace cmd
 
+/// True iff \p command addresses one session (carries "session"): the
+/// command set a Service runs against a Scenario and a Router forwards.
+/// Every other name outside the front-end and replication commands is
+/// "unknown_command".
+[[nodiscard]] bool is_session_command(std::string_view command);
+
+/// True iff \p command is a session command whose acked application
+/// changes session state — exactly the set a shard::Replicator journals
+/// for failover replay.
+[[nodiscard]] bool is_mutating_command(std::string_view command);
+
 // --- error codes -----------------------------------------------------------
 
 namespace code {
@@ -168,5 +180,11 @@ inline constexpr const char* kConnectionLost = "connection_lost";
 /// is a number with an exact integral value in [0, max].
 [[nodiscard]] bool json_to_u64(const io::Json& json, std::uint64_t max,
                                std::uint64_t& out);
+
+/// The required u64 field \p key of \p request. When it is absent or not a
+/// non-negative integer, the error is "field '<key>' must be <what>",
+/// the bad_request message the caller answers with.
+[[nodiscard]] common::Expected<std::uint64_t, std::string> u64_field(
+    const io::Json& request, const char* key, const char* what);
 
 }  // namespace rim::svc

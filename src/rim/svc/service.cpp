@@ -99,27 +99,19 @@ bool position_from_request(const io::Json& request, geom::Vec2& out,
 
 }  // namespace
 
-io::Json ServiceCounters::to_json() const {
-  io::JsonObject object;
-  object["requests"] = requests.to_json();
-  object["ok"] = ok.to_json();
-  object["errors"] = errors.to_json();
-  object["rejected_overloaded"] = rejected_overloaded.to_json();
+void ServiceCounters::write_json(io::JsonObject& object) const {
   object["rejected_tenant"] = rejected_tenant.to_json();
-  object["rejected_bad_frame"] = rejected_bad_frame.to_json();
-  object["handle_ns"] = handle_ns.to_json();
-  object["latency_ns"] = latency_ns.to_json();
-  return io::Json(std::move(object));
 }
 
 Service::Service(ServiceConfig config)
-    : config_(std::move(config)),
+    : Frontend(config.limits.max_in_flight, config.limits.max_frame_bytes,
+               config.allow_shutdown),
+      config_(std::move(config)),
       sessions_(config_.limits, config_.eval) {
-  registry_.add_source("svc", [this] {
+  registry().add_source("svc", [this] {
     io::JsonObject object;
-    object["counters"] = counters_.to_json();
-    object["in_flight"] =
-        io::Json(in_flight_.load(std::memory_order_relaxed));
+    object["counters"] = counters_json(counters_);
+    object["in_flight"] = io::Json(in_flight());
     io::JsonObject limits;
     limits["max_frame_bytes"] = io::Json(config_.limits.max_frame_bytes);
     limits["max_in_flight"] = io::Json(config_.limits.max_in_flight);
@@ -141,125 +133,50 @@ Service::Service(ServiceConfig config)
   });
 }
 
-Service::~Service() { registry_.remove_source("svc"); }
+Service::~Service() { registry().remove_source("svc"); }
 
-Service::Ticket Service::try_admit() {
-  const std::size_t previous =
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-  if (previous >= config_.limits.max_in_flight) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return Ticket();
-  }
-  return Ticket(this);
-}
-
-std::string Service::overloaded_response(std::string_view payload) {
-  ++counters_.requests;
-  ++counters_.errors;
-  ++counters_.rejected_overloaded;
-  return make_error(peek_request_id(payload), code::kOverloaded,
-                    "service at max in-flight requests (" +
-                        std::to_string(config_.limits.max_in_flight) +
-                        "); retry later");
-}
-
-std::string Service::handle_admitted(std::string_view payload) {
-  const obs::ScopedTimer timer(counters_.handle_ns, &counters_.latency_ns);
-  ++counters_.requests;
-  std::string response = dispatch(payload);
-  return response;
-}
-
-std::string Service::dispatch(std::string_view payload) {
-  io::Json request;
+bool Service::open_session(std::uint64_t id, std::uint64_t& session_id,
+                           std::string& refusal) {
+  std::shared_ptr<Session> session;
+  const char* error_code = code::kInternal;
   std::string error;
-  if (!io::Json::parse(payload, request, error)) {
-    ++counters_.errors;
-    ++counters_.rejected_bad_frame;
-    return make_error(0, code::kBadFrame, error);
+  if (!sessions_.create(session_id, session, error_code, error)) {
+    if (error_code == code::kOverloaded) {
+      ++frontend_counters_.rejected_overloaded;
+    }
+    refusal = make_error(id, error_code, error);
+    return false;
   }
-  if (!request.is_object()) {
-    ++counters_.errors;
-    return make_error(0, code::kBadRequest, "request must be a JSON object");
-  }
-  std::uint64_t id = 0;
-  const io::Json* id_field = request.find("id");
-  if (id_field != nullptr) {
-    (void)json_to_u64(*id_field, std::numeric_limits<std::uint64_t>::max(),
-                      id);
-  }
-  const io::Json* cmd_field = request.find("cmd");
-  const std::string* command =
-      cmd_field != nullptr ? cmd_field->as_string() : nullptr;
-  if (command == nullptr) {
-    ++counters_.errors;
-    return make_error(id, code::kBadRequest,
-                      "field 'cmd' must be a command name string");
-  }
-  std::string response = dispatch_command(id, *command, request);
-  // Responses are exclusively our builders' output, so ok-ness is read
-  // back from the envelope rather than threaded through every handler.
-  if (response.find("\"ok\":true") != std::string::npos) {
-    ++counters_.ok;
-  } else {
-    ++counters_.errors;
-  }
-  return response;
+  registry().add_source(session_source_name(session_id),
+                        [session] { return session->counters.to_json(); });
+  return true;
 }
 
 std::string Service::dispatch_command(std::uint64_t id,
                                       const std::string& command,
                                       const io::Json& request) {
-  if (command == cmd::kPing) {
-    io::JsonObject result;
-    result["pong"] = io::Json(true);
-    return make_ok(id, io::Json(std::move(result)));
-  }
   if (command == cmd::kCreateSession) {
     std::uint64_t session_id = 0;
-    std::shared_ptr<Session> session;
-    const char* error_code = code::kInternal;
-    std::string error;
-    if (!sessions_.create(session_id, session, error_code, error)) {
-      if (error_code == code::kOverloaded) ++counters_.rejected_overloaded;
-      return make_error(id, error_code, error);
-    }
-    registry_.add_source(session_source_name(session_id),
-                         [session] { return session->counters.to_json(); });
+    std::string refusal;
+    if (!open_session(id, session_id, refusal)) return refusal;
     io::JsonObject result;
     result["session"] = io::Json(session_id);
     return make_ok(id, io::Json(std::move(result)));
   }
   if (command == cmd::kCloseSession) {
-    const io::Json* session_field = request.find("session");
-    std::uint64_t session_id = 0;
-    if (session_field == nullptr ||
-        !json_to_u64(*session_field, std::numeric_limits<std::uint64_t>::max(),
-                     session_id)) {
-      return make_error(id, code::kBadRequest,
-                        "field 'session' must be an integer session id");
+    const auto session_id =
+        u64_field(request, "session", "an integer session id");
+    if (!session_id) {
+      return make_error(id, code::kBadRequest, session_id.error());
     }
     const char* error_code = code::kInternal;
     std::string error;
-    if (!sessions_.close(session_id, error_code, error)) {
+    if (!sessions_.close(*session_id, error_code, error)) {
       return make_error(id, error_code, error);
     }
-    registry_.remove_source(session_source_name(session_id));
+    registry().remove_source(session_source_name(*session_id));
     io::JsonObject result;
     result["closed"] = io::Json(true);
-    return make_ok(id, io::Json(std::move(result)));
-  }
-  if (command == cmd::kMetrics) {
-    return make_ok(id, registry_.snapshot());
-  }
-  if (command == cmd::kShutdown) {
-    if (!config_.allow_shutdown) {
-      return make_error(id, code::kShutdownDisabled,
-                        "this service does not accept shutdown requests");
-    }
-    request_shutdown();
-    io::JsonObject result;
-    result["shutting_down"] = io::Json(true);
     return make_ok(id, io::Json(std::move(result)));
   }
   if (command == cmd::kReplicateSession || command == cmd::kAdoptSession ||
@@ -272,23 +189,15 @@ std::string Service::dispatch_command(std::uint64_t id,
 std::string Service::dispatch_replica_command(std::uint64_t id,
                                               const std::string& command,
                                               const io::Json& request) {
-  const io::Json* origin_field = request.find("origin");
-  std::uint64_t origin = 0;
-  if (origin_field == nullptr ||
-      !json_to_u64(*origin_field, std::numeric_limits<std::uint64_t>::max(),
-                   origin)) {
-    return make_error(id, code::kBadRequest,
-                      "field 'origin' must be an integer origin session id");
+  const auto origin_field =
+      u64_field(request, "origin", "an integer origin session id");
+  if (!origin_field) {
+    return make_error(id, code::kBadRequest, origin_field.error());
   }
+  const std::uint64_t origin = *origin_field;
   if (command == cmd::kReplicateSession) {
-    const io::Json* seq_field = request.find("seq");
-    std::uint64_t seq = 0;
-    if (seq_field == nullptr ||
-        !json_to_u64(*seq_field, std::numeric_limits<std::uint64_t>::max(),
-                     seq)) {
-      return make_error(id, code::kBadRequest,
-                        "field 'seq' must be an integer ship sequence");
-    }
+    const auto seq = u64_field(request, "seq", "an integer ship sequence");
+    if (!seq) return make_error(id, code::kBadRequest, seq.error());
     const io::Json* snapshot_field = request.find("snapshot");
     core::Snapshot snapshot;
     std::uint64_t checksum = 0;
@@ -301,13 +210,13 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
                             ? "field 'snapshot' must be a snapshot document"
                             : error);
     }
-    if (!replicas_.put(origin, seq, std::move(snapshot), checksum, error)) {
+    if (!replicas_.put(origin, *seq, std::move(snapshot), checksum, error)) {
       return make_error(id, code::kBadRequest, error);
     }
     io::JsonObject result;
     result["checksum"] = io::Json(checksum);
     result["origin"] = io::Json(origin);
-    result["seq"] = io::Json(seq);
+    result["seq"] = io::Json(*seq);
     result["stored"] = io::Json(true);
     return make_ok(id, io::Json(std::move(result)));
   }
@@ -327,15 +236,10 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
                       "no replica for origin " + std::to_string(origin));
   }
   std::uint64_t session_id = 0;
-  std::shared_ptr<Session> session;
+  std::string refusal;
+  if (!open_session(id, session_id, refusal)) return refusal;
   const char* error_code = code::kInternal;
   std::string error;
-  if (!sessions_.create(session_id, session, error_code, error)) {
-    if (error_code == code::kOverloaded) ++counters_.rejected_overloaded;
-    return make_error(id, error_code, error);
-  }
-  registry_.add_source(session_source_name(session_id),
-                       [session] { return session->counters.to_json(); });
   std::shared_ptr<Session> pinned =
       sessions_.checkout(session_id, error_code, error);
   bool restored = false;
@@ -350,7 +254,7 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     const char* close_code = code::kInternal;
     std::string close_error;
     (void)sessions_.close(session_id, close_code, close_error);
-    registry_.remove_source(session_source_name(session_id));
+    registry().remove_source(session_source_name(session_id));
     return make_error(id, code::kRestoreFailed, error);
   }
   io::JsonObject result;
@@ -364,29 +268,19 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
 std::string Service::dispatch_session_command(std::uint64_t id,
                                               const std::string& command,
                                               const io::Json& request) {
-  const bool known =
-      command == cmd::kAddNode || command == cmd::kRemoveNode ||
-      command == cmd::kAddEdge || command == cmd::kRemoveEdge ||
-      command == cmd::kMove || command == cmd::kApplyBatch ||
-      command == cmd::kAssess || command == cmd::kQueryInterference ||
-      command == cmd::kSnapshot || command == cmd::kRestore ||
-      command == cmd::kSessionStats;
-  if (!known) {
+  if (!is_session_command(command)) {
     return make_error(id, code::kUnknownCommand,
                       "unknown command '" + command + "'");
   }
-  const io::Json* session_field = request.find("session");
-  std::uint64_t session_id = 0;
-  if (session_field == nullptr ||
-      !json_to_u64(*session_field, std::numeric_limits<std::uint64_t>::max(),
-                   session_id)) {
-    return make_error(id, code::kBadRequest,
-                      "field 'session' must be an integer session id");
+  const auto session_id =
+      u64_field(request, "session", "an integer session id");
+  if (!session_id) {
+    return make_error(id, code::kBadRequest, session_id.error());
   }
   const char* error_code = code::kInternal;
   std::string error;
   std::shared_ptr<Session> session =
-      sessions_.checkout(session_id, error_code, error);
+      sessions_.checkout(*session_id, error_code, error);
   if (session == nullptr) return make_error(id, error_code, error);
 
   // Per-tenant fair admission: spend one token of this session's bucket
@@ -601,21 +495,6 @@ std::string Service::dispatch_session_command(std::uint64_t id,
   }
   sessions_.checkin(session);
   return std::move(reply.payload);
-}
-
-void Service::wait_shutdown() {
-  common::MutexLock lock(shutdown_mutex_);
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    shutdown_cv_.wait(lock.native());
-  }
-}
-
-void Service::request_shutdown() {
-  {
-    common::MutexLock lock(shutdown_mutex_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  shutdown_cv_.notify_all();
 }
 
 }  // namespace rim::svc

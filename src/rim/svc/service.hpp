@@ -1,17 +1,10 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 
-#include "rim/common/mutex.hpp"
-#include "rim/common/thread_annotations.hpp"
 #include "rim/obs/metrics.hpp"
-#include "rim/obs/registry.hpp"
-#include "rim/svc/handler.hpp"
+#include "rim/svc/frontend.hpp"
 #include "rim/svc/protocol.hpp"
 #include "rim/svc/replica_store.hpp"
 #include "rim/svc/session.hpp"
@@ -19,18 +12,20 @@
 /// \file service.hpp
 /// The request-serving layer over core::Scenario (DESIGN.md §9).
 ///
-/// Service::handle() maps one request payload (a deframed protocol.hpp
-/// JSON document) onto the Scenario surface of the addressed session and
-/// returns exactly one response payload. It is transport-agnostic and
+/// Service is a svc::Frontend (frontend.hpp: admission, the envelope
+/// prologue, ping/metrics/shutdown) whose command table maps one request
+/// onto the Scenario surface of the addressed session and returns exactly
+/// one response payload. It is transport-agnostic and
 /// thread-safe: LoopbackTransport calls it inline on the caller's thread,
 /// TcpServer calls it from dispatch-pool workers — concurrently for
 /// different connections.
 ///
 /// **Admission control sheds, never queues.** Every request first claims
-/// an in-flight ticket (a relaxed-atomic gauge). At `max_in_flight` the
-/// claim fails and the caller answers code "overloaded" immediately —
-/// transports check `try_admit()` *before* enqueueing work, so an
-/// overloaded service's dispatch queue cannot grow without bound. The
+/// an in-flight ticket (Frontend's relaxed-atomic gauge). At
+/// `max_in_flight` the claim fails and the caller answers code
+/// "overloaded" immediately — transports check `try_admit()` *before*
+/// enqueueing work, so an overloaded service's dispatch queue cannot grow
+/// without bound. The
 /// same applies to `max_sessions` (SessionManager) and oversized frames
 /// (transports answer "bad_frame" and drop the connection).
 ///
@@ -70,76 +65,28 @@ struct ServiceConfig {
   bool allow_shutdown = false;
 };
 
-/// Global service counters (lock-free; the "svc" registry source).
+/// Counters only a Service keeps (the shared front-end counters live in
+/// Frontend; both land in the "svc" source's "counters" object).
 struct ServiceCounters {
-  obs::Counter requests;            ///< payloads handled (ok + error)
-  obs::Counter ok;                  ///< answered ok=true
-  obs::Counter errors;              ///< answered ok=false (any code)
-  obs::Counter rejected_overloaded; ///< shed by the global in-flight gate
-  obs::Counter rejected_tenant;     ///< shed by a per-tenant token bucket
-  obs::Counter rejected_bad_frame;  ///< unparseable payloads
-  obs::Counter handle_ns;           ///< total time inside handle paths
-  obs::Histogram latency_ns;        ///< per-request handling latency
+  obs::Counter rejected_tenant;  ///< shed by a per-tenant token bucket
 
-  [[nodiscard]] io::Json to_json() const;
+  void write_json(io::JsonObject& object) const;
 };
 
-class Service final : public RequestHandler {
+class Service final : public Frontend {
  public:
   explicit Service(ServiceConfig config);
   ~Service() override;
 
-  Service(const Service&) = delete;
-  Service& operator=(const Service&) = delete;
-
-  /// The admission slot type (handler.hpp; the name predates the
-  /// RequestHandler split and is kept for existing callers).
-  using Ticket = RequestHandler::Ticket;
-
-  /// Claim an in-flight slot; falsy at max_in_flight. Transports call
-  /// this *before* enqueueing dispatch work so excess load is shed at
-  /// the door, not parked in a queue.
-  [[nodiscard]] Ticket try_admit() override;
-
-  /// Dispatch a payload whose admission ticket the caller already holds.
-  [[nodiscard]] std::string handle_admitted(std::string_view payload) override;
-
-  /// The "overloaded" response for \p payload (echoes its id when it
-  /// parses). Also counts the rejection.
-  [[nodiscard]] std::string overloaded_response(
-      std::string_view payload) override;
-
-  [[nodiscard]] std::size_t max_frame_bytes() const override {
-    return config_.limits.max_frame_bytes;
-  }
-
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
   [[nodiscard]] SessionManager& sessions() { return sessions_; }
   [[nodiscard]] ReplicaStore& replicas() { return replicas_; }
-  [[nodiscard]] obs::Registry& registry() { return registry_; }
   [[nodiscard]] const ServiceCounters& counters() const { return counters_; }
 
-  /// True once a "shutdown" command was accepted.
-  [[nodiscard]] bool shutdown_requested() const {
-    return shutdown_.load(std::memory_order_acquire);
-  }
-
-  /// Block until shutdown_requested() (rim_cli serve's main loop).
-  void wait_shutdown() RIM_EXCLUDES(shutdown_mutex_);
-
-  /// Trip the shutdown flag locally (tests; signal handlers).
-  void request_shutdown() RIM_EXCLUDES(shutdown_mutex_);
-
- protected:
-  void release_admission() override {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
  private:
-  [[nodiscard]] std::string dispatch(std::string_view payload);
   [[nodiscard]] std::string dispatch_command(std::uint64_t id,
                                              const std::string& command,
-                                             const io::Json& request);
+                                             const io::Json& request) override;
   /// Commands addressing one session: checkout, run, checkin.
   [[nodiscard]] std::string dispatch_session_command(
       std::uint64_t id, const std::string& command, const io::Json& request);
@@ -147,18 +94,16 @@ class Service final : public RequestHandler {
   /// drop_replica — protocol.hpp, DESIGN.md §14).
   [[nodiscard]] std::string dispatch_replica_command(
       std::uint64_t id, const std::string& command, const io::Json& request);
+  /// Create a session and register its "svc.session.<id>" metrics source.
+  /// False with \p refusal set to the error envelope when the manager
+  /// refuses (an "overloaded" refusal is also counted).
+  [[nodiscard]] bool open_session(std::uint64_t id, std::uint64_t& session_id,
+                                  std::string& refusal);
 
   ServiceConfig config_;
   SessionManager sessions_;
   ReplicaStore replicas_;
-  obs::Registry registry_;
   ServiceCounters counters_;
-
-  std::atomic<std::size_t> in_flight_{0};
-
-  std::atomic<bool> shutdown_{false};
-  common::Mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
 };
 
 }  // namespace rim::svc

@@ -8,7 +8,7 @@
 /// \file token_bucket.hpp
 /// Per-tenant fair admission for the scenario service (DESIGN.md §10).
 ///
-/// The global in-flight gate (Service::try_admit) protects the process from
+/// The global in-flight gate (Frontend::try_admit) protects the process from
 /// aggregate overload but is first-come-first-served: one hog tenant
 /// hammering the service starves everyone behind the same gate. Each
 /// session therefore carries its own TokenBucket — tokens refill at a

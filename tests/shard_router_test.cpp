@@ -117,6 +117,8 @@ TEST(ShardRouter, EveryWireCommandIsByteIdenticalToDirectService) {
   // routing-transparency contract).
   const std::vector<std::string> conversation = {
       R"({"cmd":"ping","id":7})",
+      // Both sides run with allow_shutdown=false: the same refusal.
+      R"({"cmd":"shutdown","id":34})",
       R"({"cmd":"create_session","id":8})",
       R"({"cmd":"add_node","id":9,"session":1,"x":0.0,"y":0.0})",
       R"({"cmd":"add_node","id":10,"session":1,"x":1.0,"y":0.25})",
@@ -142,6 +144,7 @@ TEST(ShardRouter, EveryWireCommandIsByteIdenticalToDirectService) {
       R"({"cmd":"add_node","id":27,"session":"one","x":3.0,"y":3.0})",
       R"({"cmd":"add_node","id":28,"session":444,"x":3.0,"y":3.0})",
       R"({"id":29})",
+      R"({"cmd":42,"id":5})",
       R"([1,2,3])",
       R"({"cmd":"close_session","id":30})",
       R"({"cmd":"close_session","id":31,"session":444})",
@@ -155,6 +158,43 @@ TEST(ShardRouter, EveryWireCommandIsByteIdenticalToDirectService) {
   }
   // Unparseable payloads too (bad_frame).
   EXPECT_EQ(direct.handle("{nope"), cluster.router->handle("{nope"));
+
+  // The front door counted the conversation identically.
+  const svc::FrontendCounters& direct_counters = direct.frontend_counters();
+  const svc::FrontendCounters& router_counters =
+      cluster.router->frontend_counters();
+  EXPECT_EQ(direct_counters.requests.value(), conversation.size() + 1);
+  EXPECT_EQ(direct_counters.requests.value(), router_counters.requests.value());
+  EXPECT_EQ(direct_counters.ok.value(), router_counters.ok.value());
+  EXPECT_EQ(direct_counters.errors.value(), router_counters.errors.value());
+  EXPECT_EQ(direct_counters.rejected_bad_frame.value(), 1u);
+  EXPECT_EQ(direct_counters.rejected_bad_frame.value(),
+            router_counters.rejected_bad_frame.value());
+}
+
+TEST(ShardRouter, OverloadedEnvelopeIsByteIdenticalToDirectService) {
+  svc::ServiceConfig service_config;
+  service_config.limits.max_in_flight = 1;
+  svc::Service direct(service_config);
+  shard::RouterConfig router_config;
+  router_config.max_in_flight = 1;
+  shard::Router router(std::move(router_config));
+
+  // Hold the only admission slot on each side: every handle() is shed.
+  const svc::RequestHandler::Ticket direct_ticket = direct.try_admit();
+  const svc::RequestHandler::Ticket router_ticket = router.try_admit();
+  ASSERT_TRUE(direct_ticket);
+  ASSERT_TRUE(router_ticket);
+  for (const std::string payload :
+       {R"({"cmd":"ping","id":41})", R"({"cmd":"create_session","id":42})",
+        "{nope"}) {
+    const std::string shed = direct.handle(payload);
+    EXPECT_NE(shed.find("\"code\":\"overloaded\""), std::string::npos)
+        << shed;
+    EXPECT_EQ(shed, router.handle(payload)) << "diverged on: " << payload;
+  }
+  EXPECT_EQ(direct.frontend_counters().rejected_overloaded.value(), 3u);
+  EXPECT_EQ(router.frontend_counters().rejected_overloaded.value(), 3u);
 }
 
 TEST(ShardRouter, SnapshotRoundtripsThroughRouterByteExact) {
@@ -296,7 +336,7 @@ TEST(ShardRouter, CountersAndRegistrySurfaceRouting) {
                 .find("\"ok\":true"),
             std::string::npos);
   const shard::RouterCounters& counters = cluster.router->counters();
-  EXPECT_GE(counters.requests.value(), 2u);
+  EXPECT_GE(cluster.router->frontend_counters().requests.value(), 2u);
   EXPECT_GE(counters.routed.value(), 2u);
   EXPECT_EQ(counters.lost_sessions.value(), 0u);
   EXPECT_EQ(cluster.router->session_count(), 1u);

@@ -186,5 +186,52 @@ TEST(SvcJsonToU64, RejectsNonIntegersAndOutOfRange) {
                            std::numeric_limits<std::uint64_t>::max(), out));
 }
 
+TEST(SvcU64Field, ReadsThePresentIntegerField) {
+  io::Json request;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(R"({"session":12})", request, error));
+  const auto session = u64_field(request, "session", "an integer session id");
+  ASSERT_TRUE(session);
+  EXPECT_EQ(*session, 12u);
+}
+
+TEST(SvcU64Field, NamesTheFieldInItsError) {
+  io::Json request;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(R"({"session":"one","seq":-1})", request,
+                              error));
+  const auto session = u64_field(request, "session", "an integer session id");
+  ASSERT_FALSE(session);
+  EXPECT_EQ(session.error(), "field 'session' must be an integer session id");
+  const auto seq = u64_field(request, "seq", "an integer ship sequence");
+  ASSERT_FALSE(seq);
+  EXPECT_EQ(seq.error(), "field 'seq' must be an integer ship sequence");
+  EXPECT_FALSE(u64_field(request, "origin", "an integer origin session id"));
+}
+
+TEST(SvcCommandTable, MutatingCommandsAreSessionCommands) {
+  for (const char* command :
+       {cmd::kAddNode, cmd::kRemoveNode, cmd::kAddEdge, cmd::kRemoveEdge,
+        cmd::kMove, cmd::kApplyBatch, cmd::kRestore}) {
+    EXPECT_TRUE(is_session_command(command)) << command;
+    EXPECT_TRUE(is_mutating_command(command)) << command;
+  }
+  for (const char* command : {cmd::kAssess, cmd::kQueryInterference,
+                              cmd::kSnapshot, cmd::kSessionStats}) {
+    EXPECT_TRUE(is_session_command(command)) << command;
+    EXPECT_FALSE(is_mutating_command(command)) << command;
+  }
+}
+
+TEST(SvcCommandTable, FrontEndAndReplicationCommandsAreNotSessionCommands) {
+  for (const char* command :
+       {cmd::kPing, cmd::kMetrics, cmd::kShutdown, cmd::kCreateSession,
+        cmd::kCloseSession, cmd::kReplicateSession, cmd::kAdoptSession,
+        cmd::kDropReplica, cmd::kShardStatus, "frobnicate", ""}) {
+    EXPECT_FALSE(is_session_command(command)) << command;
+    EXPECT_FALSE(is_mutating_command(command)) << command;
+  }
+}
+
 }  // namespace
 }  // namespace rim::svc

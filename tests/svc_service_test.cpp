@@ -362,7 +362,7 @@ TEST_F(SvcLoopback, UnparseablePayloadIsBadFrame) {
             FrameStatus::kFrame);
   EXPECT_NE(payload.find("\"code\":\"bad_frame\""), std::string::npos)
       << payload;
-  EXPECT_EQ(service_.counters().rejected_bad_frame.value(), 1u);
+  EXPECT_EQ(service_.frontend_counters().rejected_bad_frame.value(), 1u);
 }
 
 TEST(SvcAdmission, OversizedFrameIsShedAsBadFrame) {
@@ -390,8 +390,8 @@ TEST(SvcAdmission, InFlightCapShedsWithOverloaded) {
   // The id still echoes so the client can correlate the rejection.
   EXPECT_NE(client.last_response_payload().find("\"id\":1"),
             std::string::npos);
-  EXPECT_EQ(service.counters().rejected_overloaded.value(), 1u);
-  EXPECT_EQ(service.counters().requests.value(), 1u);
+  EXPECT_EQ(service.frontend_counters().rejected_overloaded.value(), 1u);
+  EXPECT_EQ(service.frontend_counters().requests.value(), 1u);
 }
 
 TEST(SvcAdmission, SessionCapShedsWithOverloaded) {

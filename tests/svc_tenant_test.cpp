@@ -91,7 +91,7 @@ TEST(SvcTenant, HogIsShedFairTenantIsNot) {
 
   EXPECT_EQ(service.counters().rejected_tenant.value(), 5u);
   // Global-gate sheds are counted separately from tenant sheds.
-  EXPECT_EQ(service.counters().rejected_overloaded.value(), 0u);
+  EXPECT_EQ(service.frontend_counters().rejected_overloaded.value(), 0u);
 }
 
 TEST(SvcTenant, DisabledByDefault) {
