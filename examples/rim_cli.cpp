@@ -29,8 +29,6 @@
 
 #include "rim/core/assessor.hpp"
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
-#include "rim/core/radii.hpp"
 #include "rim/core/sender_centric.hpp"
 #include "rim/graph/connectivity.hpp"
 #include "rim/graph/stretch.hpp"
@@ -169,16 +167,8 @@ core::EvalOptions parse_eval_options(const Args& args) {
 int cmd_interference(const Args& args) {
   const geom::PointSet points = load_points(args);
   const graph::Graph topo = load_edges(args, points.size());
-  // The redesigned assessment surface: radii from the topology, nodes in
-  // SoA layout, one Assessor call (core/assessor.hpp).
-  const std::vector<double> radii2 =
-      core::transmission_radii_squared(topo, points);
-  core::NodeSoA nodes;
-  for (NodeId v = 0; v < points.size(); ++v) {
-    nodes.insert(v, points[v], radii2[v]);
-  }
   const core::InterferenceSummary recv =
-      core::Assessor(parse_eval_options(args)).assess(nodes);
+      core::Assessor(parse_eval_options(args)).assess(topo, points);
   const core::SenderCentricSummary send = core::evaluate_sender_centric(topo, points);
   if (args.flag("json")) {
     io::JsonObject object;

@@ -3,51 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "rim/core/radii.hpp"
 #include "rim/core/sender_centric.hpp"
 #include "rim/core/sinr.hpp"
-#include "rim/simd/simd.hpp"
 
 namespace rim::core {
-
-InterferenceSummary Assessor::assess(const NodeSoA& nodes, Strategy strategy,
-                                     const EvalOptions& options) const {
-  assert(nodes.dense());
-  // The sender-centric model attributes interference to *links*; a bare
-  // store has none to attribute it to — use the topology overload.
-  assert(options.model != Model::kSenderCentric);
-  const std::size_t n = nodes.size();
-  EvalOptions local = options;
-  if (strategy != Strategy::kAuto) local.strategy = strategy;
-  if (local.model == Model::kSinr) {
-    return SinrAssessor{}.assess(nodes, local).to_interference();
-  }
-  if (local.resolve(n) == Strategy::kBrute) {
-    // The SoA fast path: one vectorised coverage pass per receiver over the
-    // store's contiguous columns, no index construction at all. An infinite
-    // query radius turns the kernel's visited filter off; the receiver's
-    // own disk (which always covers it when positive) is subtracted.
-    const double* xs = nodes.xs().data();
-    const double* ys = nodes.ys().data();
-    const double* ws = nodes.radii2().data();
-    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-    std::vector<std::uint32_t> per_node(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      const simd::CoverageCounts counts =
-          simd::count_coverage(xs, ys, ws, n, xs[v], ys[v], kUnbounded);
-      auto covered = static_cast<std::uint32_t>(counts.covered);
-      if (ws[v] > 0.0) --covered;  // self-coverage
-      per_node[v] = covered;
-    }
-    return InterferenceSummary::from_per_node(std::move(per_node));
-  }
-  const geom::PointSet points = nodes.positions();
-  return InterferenceSummary::from_per_node(
-      interference_vector_squared(points, nodes.radii2(), local));
-}
 
 InterferenceSummary Assessor::assess(const graph::Graph& topology,
                                      std::span<const geom::Vec2> points,
@@ -72,8 +35,8 @@ InterferenceSummary Assessor::assess(const graph::Graph& topology,
     }
     return InterferenceSummary::from_per_node(std::move(per_node));
   }
-  Scenario scenario(points, topology, options);
-  return scenario.summary();
+  return InterferenceSummary::from_per_node(interference_vector_squared(
+      points, transmission_radii_squared(topology, points), options));
 }
 
 Assessment Assessor::assess(Scenario& scenario,

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
 #include "rim/core/scenario.hpp"
 
 /// \file assessor.hpp
@@ -15,13 +14,9 @@
 /// surviving interface (the legacy free functions and engine methods were
 /// retired per the DESIGN.md §10.6 removal table):
 ///
-///  - assess(NodeSoA, Strategy, EvalOptions): stateless summary of a
-///    standalone SoA store. The kBrute resolution runs the simd.hpp
-///    coverage kernel directly over the store's contiguous columns; grid
-///    strategies reuse the stateless evaluators.
 ///  - assess(Graph, points): one-shot summary of a topology — radii derived
-///    from farthest neighbors, evaluated through a throwaway Scenario so
-///    static and incremental evaluation share one engine.
+///    from farthest neighbors, evaluated by interference_vector_squared,
+///    the one full evaluator that Scenario's fallback also calls.
 ///  - assess(Scenario&, Mutation...): impact of a mutation sequence,
 ///    measured on a probe copy without disturbing the scenario.
 ///  - assess_addition / assess_removal: the structured churn reports for
@@ -30,9 +25,8 @@
 /// Model selection (DESIGN.md §12): EvalOptions.model picks which
 /// interference model the assessment runs — kReceiverCentric (the paper's
 /// count, the default), kSenderCentric (MobiHoc'04 edge coverage projected
-/// onto nodes; topology overload only), or kSinr (accumulated path-loss
-/// power, core/sinr.hpp; the integer per_node is the significant-interferer
-/// count). All three return InterferenceSummary, so comparators (E23)
+/// onto nodes), or kSinr (accumulated path-loss power, core/sinr.hpp; the
+/// integer per_node is the significant-interferer count). All three return InterferenceSummary, so comparators (E23)
 /// evaluate one deployment under three models through one call shape:
 ///
 ///   Assessor{}.assess(topology, points,
@@ -80,31 +74,16 @@ struct NodeRemovalImpact {
 
 class Assessor {
  public:
-  /// \p options seeds strategy resolution for the NodeSoA overloads and the
+  /// \p options seeds the topology overloads that take none and the
   /// temporary Scenarios built by assess_addition / assess_removal.
   explicit Assessor(EvalOptions options = {}) : options_(options) {}
-
-  // --- stateless: summary of a standalone store ---------------------------
-
-  /// Per-node and aggregate interference of \p nodes (Definition 3.1/3.2),
-  /// with \p strategy resolved against \p options. The store must satisfy
-  /// the engine's dense-id invariant (nodes.dense()); per_node is indexed
-  /// by node id.
-  [[nodiscard]] InterferenceSummary assess(const NodeSoA& nodes,
-                                           Strategy strategy,
-                                           const EvalOptions& options) const;
-  [[nodiscard]] InterferenceSummary assess(
-      const NodeSoA& nodes, Strategy strategy = Strategy::kAuto) const {
-    return assess(nodes, strategy, options_);
-  }
 
   // --- one-shot: summary of a topology ------------------------------------
 
   /// Full summary for a topology: computes radii from the topology (r_u =
-  /// distance to farthest neighbor) and evaluates Definition 3.1/3.2 through
-  /// a throwaway Scenario, so every evaluation — static or incremental —
-  /// flows through the same engine. Hold a Scenario instead when the network
-  /// evolves.
+  /// distance to farthest neighbor) and evaluates Definition 3.1/3.2 with
+  /// interference_vector_squared — the same evaluator Scenario's full
+  /// evaluations call. Hold a Scenario instead when the network evolves.
   [[nodiscard]] InterferenceSummary assess(const graph::Graph& topology,
                                            std::span<const geom::Vec2> points,
                                            const EvalOptions& options) const;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
 
 #include "rim/core/radii.hpp"
-#include "rim/core/scenario.hpp"
 #include "rim/geom/grid_index.hpp"
 #include "rim/parallel/parallel_for.hpp"
 
@@ -18,18 +16,6 @@ namespace {
 /// dist2(u, v) <= radii2[u], so a node's farthest topology neighbor (whose
 /// squared distance defines radii2[u]) is always covered — a sqrt/square
 /// roundtrip can miss it by one ulp.
-
-double pick_cell_size(std::span<const double> radii2) {
-  std::vector<double> positive;
-  positive.reserve(radii2.size());
-  for (double r2 : radii2) {
-    if (r2 > 0.0) positive.push_back(r2);
-  }
-  if (positive.empty()) return 1.0;
-  const auto mid = positive.begin() + static_cast<std::ptrdiff_t>(positive.size() / 2);
-  std::nth_element(positive.begin(), mid, positive.end());
-  return std::max(std::sqrt(*mid), 1e-12);
-}
 
 /// Counting-side trick: instead of asking for every v "which disks cover
 /// me?", iterate over transmitters u and increment a counter at every node
@@ -156,10 +142,10 @@ std::uint32_t graph_interference(const graph::Graph& topology,
                                  std::span<const geom::Vec2> points,
                                  const EvalOptions& options) {
   assert(topology.node_count() == points.size());
-  // Thin wrapper over a one-shot Scenario so every evaluation, static or
-  // incremental, flows through the same engine.
-  Scenario scenario(points, topology, options);
-  return scenario.max_interference();
+  return InterferenceSummary::from_per_node(
+             interference_vector_squared(
+                 points, transmission_radii_squared(topology, points), options))
+      .max;
 }
 
 std::vector<std::vector<NodeId>> covering_sets(const graph::Graph& topology,

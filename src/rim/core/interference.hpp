@@ -234,8 +234,10 @@ struct EvalOptions {
 
 /// Like interference_vector but over *squared* radii — the exact form every
 /// evaluator uses internally (containment is dist2 <= radii2[u], no
-/// sqrt/square roundtrip). This is the batched full-evaluation kernel that
-/// Scenario falls back to when a delta touches too much of the instance.
+/// sqrt/square roundtrip). This is the one full evaluator: Assessor's
+/// topology overloads, graph_interference, and Scenario's full evaluations
+/// (construction, and the fallback when a delta touches too much of the
+/// instance) all call it.
 [[nodiscard]] std::vector<std::uint32_t> interference_vector_squared(
     std::span<const geom::Vec2> points, std::span<const double> radii2,
     Strategy strategy = Strategy::kAuto);

@@ -28,6 +28,13 @@ namespace rim::core {
 [[nodiscard]] std::vector<double> transmission_radii_squared(
     const graph::Graph& topology, std::span<const geom::Vec2> points);
 
+/// Cell side for a uniform grid over the disks of squared radii \p radii2,
+/// each scaled by \p scale (the SINR scatter passes its cutoff factor): the
+/// median positive scaled radius, or 1 when no radius is positive. The
+/// choice changes only speed, never an evaluation's result.
+[[nodiscard]] double pick_cell_size(std::span<const double> radii2,
+                                    double scale = 1.0);
+
 /// Energy proxy: sum over nodes of r_u^alpha (alpha = path-loss exponent,
 /// conventionally 2..4). Topology control papers use this as the power cost
 /// of a topology; reported alongside interference by the experiment harness.

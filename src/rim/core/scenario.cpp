@@ -1,34 +1,14 @@
 #include "rim/core/scenario.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
+#include "rim/core/radii.hpp"
 #include "rim/core/snapshot.hpp"
 #include "rim/geom/grid_kernels.hpp"
-#include "rim/parallel/parallel_for.hpp"
 
 namespace rim::core {
-
-namespace {
-
-/// Same heuristic as the stateless grid evaluator: square cells keyed by
-/// the median positive transmission radius.
-double pick_cell_size(std::span<const double> radii2) {
-  std::vector<double> positive;
-  positive.reserve(radii2.size());
-  for (double r2 : radii2) {
-    if (r2 > 0.0) positive.push_back(r2);
-  }
-  if (positive.empty()) return 1.0;
-  const auto mid =
-      positive.begin() + static_cast<std::ptrdiff_t>(positive.size() / 2);
-  std::nth_element(positive.begin(), mid, positive.end());
-  return std::max(std::sqrt(*mid), 1e-12);
-}
-
-}  // namespace
 
 io::Json ScenarioStats::to_json() const {
   io::JsonObject o;
@@ -118,33 +98,11 @@ void Scenario::set_node_radius2(NodeId u, double new_r2) {
   if (grid_built_) grid_.set_weight(u, new_r2);
 }
 
-std::vector<std::uint32_t> Scenario::full_evaluate() {
-  // When the persistent index already exists and the instance resolves to
-  // the parallel strategy, shard the counting pass over the live grid
-  // instead of rebuilding an immutable GridIndex — same exact integer
-  // counts, one less O(n) rebuild per deferred delta. The per-transmitter
-  // scatter runs the vectorised distance kernel per cell.
-  if (grid_built_ && options_.resolve(nodes_.size()) == Strategy::kParallel) {
-    std::vector<std::atomic<std::uint32_t>> covered(nodes_.size());
-    parallel::parallel_for(0, nodes_.size(), [&](std::size_t ui) {
-      const auto u = static_cast<NodeId>(ui);
-      geom::accumulate_covered(grid_, nodes_.position(u), nodes_.radius2(u),
-                               u, covered.data());
-    });
-    std::vector<std::uint32_t> out(nodes_.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = covered[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-  const geom::PointSet points = nodes_.positions();
-  return interference_vector_squared(points, nodes_.radii2(), options_);
-}
-
 void Scenario::ensure_cache() {
   if (!dirty_) return;
   const obs::ScopedTimer timer(stats_.full_ns);
-  interference_ = full_evaluate();
+  interference_ =
+      interference_vector_squared(nodes_.positions(), nodes_.radii2(), options_);
   max_radius2_ = 0.0;
   for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);
   dirty_ = false;

@@ -50,8 +50,8 @@
 /// When a single delta would touch more than
 /// EvalOptions::max_touched_fraction of the instance (estimated from grid
 /// occupancy), the engine marks the cache dirty instead and the next query
-/// performs one batched full evaluation — sharded over the live grid with
-/// parallel_for for large n — so adversarial giant disks degrade to the
+/// performs one full evaluation through interference_vector_squared, the
+/// stateless evaluator, so adversarial giant disks degrade to the
 /// stateless cost, never worse.
 ///
 /// Counters for full vs. incremental evaluations, batch pipeline activity,
@@ -356,10 +356,6 @@ class Scenario {
  private:
   void ensure_grid();
   void ensure_cache();
-  /// Full recompute sharded over the live grid with parallel_for (used for
-  /// large instances when the persistent index exists; small instances go
-  /// through the stateless kernels).
-  [[nodiscard]] std::vector<std::uint32_t> full_evaluate();
   [[nodiscard]] bool delta_deferred(geom::Vec2 center, double radius2);
   void apply_disk_delta(NodeId u, geom::Vec2 center, double old_r2,
                         double new_r2);

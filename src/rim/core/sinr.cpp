@@ -33,22 +33,6 @@ std::uint64_t fnv1a_doubles(std::span<const double> values) {
   return h;
 }
 
-/// Cell size for the SINR scatter grid: the median positive *cutoff*
-/// radius (the scatter disks are cutoff disks, not transmission disks —
-/// same heuristic as the receiver-centric engine, different disk family).
-double pick_cell_size(std::span<const double> radii2, double cutoff_factor) {
-  std::vector<double> positive;
-  positive.reserve(radii2.size());
-  for (const double r2 : radii2) {
-    if (r2 > 0.0) positive.push_back(r2 * cutoff_factor);
-  }
-  if (positive.empty()) return 1.0;
-  const auto mid =
-      positive.begin() + static_cast<std::ptrdiff_t>(positive.size() / 2);
-  std::nth_element(positive.begin(), mid, positive.end());
-  return std::max(std::sqrt(*mid), 1e-12);
-}
-
 /// Receivers grouped into x-stripes: stripe k owns
 /// members[begin[k], begin[k + 1]), in ascending id order.
 struct Stripes {
@@ -151,6 +135,8 @@ SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
   const double* xs = nodes.xs().data();
   const double* ys = nodes.ys().data();
   const double* ws = nodes.radii2().data();
+  // Cells keyed by the median cutoff radius: the scatter disks are cutoff
+  // disks, not transmission disks.
   const double cell = pick_cell_size(nodes.radii2(), cf);
   const Stripes cut = cut_stripes(xs, n, stripes);
 

@@ -120,27 +120,6 @@ DeltaResult apply_disk_delta_scalar(const DynamicGrid& grid, Vec2 center,
       });
 }
 
-std::size_t accumulate_covered(const DynamicGrid& grid, Vec2 center,
-                               double r2, NodeId exclude,
-                               std::atomic<std::uint32_t>* covered) {
-  if (r2 <= 0.0) return 0;
-  double d2[kChunk];
-  return grid.for_each_cell_in_disk(
-      center, r2, [&](const DynamicGrid::CellView& cell) {
-        for (std::size_t base = 0; base < cell.count; base += kChunk) {
-          const std::size_t m = std::min(kChunk, cell.count - base);
-          simd::squared_distances(cell.xs + base, cell.ys + base, m, center.x,
-                                  center.y, d2);
-          for (std::size_t k = 0; k < m; ++k) {
-            if (d2[k] > r2) continue;
-            const NodeId v = cell.ids[base + k];
-            if (v == exclude) continue;
-            covered[v].fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-}
-
 namespace {
 
 template <typename ScatterKernel>

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "rim/common/types.hpp"
@@ -10,15 +9,17 @@
 /// \file grid_kernels.hpp
 /// The vectorised disk-coverage kernels of the incremental engine.
 ///
-/// core::Scenario's hot loops are three shapes of the same exact
+/// core::Scenario's incremental hot loops are two shapes of the same exact
 /// containment test over DynamicGrid cells:
 ///
 ///  - count_covering: receiver-centric recount — how many registered disks
 ///    cover one point (Definition 3.1 for a single v);
 ///  - apply_disk_delta: the ±1 symmetric-difference update when one
-///    transmitter's disk changes (the paper's robustness property);
-///  - accumulate_covered: transmitter-centric scatter for the sharded full
-///    evaluation.
+///    transmitter's disk changes (the paper's robustness property).
+///
+/// accumulate_path_loss is the SINR model's transmitter-centric scatter.
+/// Full receiver-centric evaluations do not use these kernels; they go
+/// through core::interference_vector_squared.
 ///
 /// Each runs the simd.hpp kernels over the grid's per-cell SoA columns and
 /// has a `_scalar` twin built from the scalar reference kernels; the twins
@@ -69,13 +70,6 @@ DeltaResult apply_disk_delta_scalar(const DynamicGrid& grid, Vec2 center,
                                     double old_r2, double new_r2,
                                     NodeId exclude,
                                     std::uint32_t* interference);
-
-/// Transmitter-centric accumulation for the sharded full evaluation: for
-/// every point v != exclude with d2(v, center) <= r2 (and r2 > 0),
-/// increment covered[v] (relaxed). Returns cells visited.
-std::size_t accumulate_covered(const DynamicGrid& grid, Vec2 center,
-                               double r2, NodeId exclude,
-                               std::atomic<std::uint32_t>* covered);
 
 /// Transmitter-centric SINR scatter (DESIGN.md §12): one transmitter at
 /// \p center with precomputed emitted power \p power (= kappa * r2^h) and

@@ -3,29 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
+#include "rim/core/interference.hpp"
 #include "rim/core/radii.hpp"
-#include "rim/geom/grid_index.hpp"
 
 namespace rim::mac {
 
 Medium::Medium(const graph::Graph& topology, std::span<const geom::Vec2> points)
-    : covered_by_(points.size()) {
-  radii_ = core::transmission_radii(topology, points);
-  if (points.empty()) return;
-  // Coverage uses the exact squared radii so a node's farthest neighbor —
-  // the very partner it talks to — is always inside its disk.
-  const std::vector<double> radii2 = core::transmission_radii_squared(topology, points);
-  double max_r = 0.0;
-  for (double r : radii_) max_r = std::max(max_r, r);
-  const geom::GridIndex index(points, std::max(max_r * 0.5, 1e-9));
-  for (NodeId u = 0; u < points.size(); ++u) {
-    if (radii2[u] <= 0.0) continue;
-    index.for_each_in_disk_squared(points[u], radii2[u], [&](NodeId v) {
-      if (v != u) covered_by_[v].push_back(u);
-    });
-  }
-  for (auto& list : covered_by_) std::sort(list.begin(), list.end());
-}
+    : covered_by_(core::covering_sets(topology, points)),
+      radii_(core::transmission_radii(topology, points)) {}
 
 bool Medium::covers(NodeId u, NodeId v) const {
   const auto& list = covered_by_[v];

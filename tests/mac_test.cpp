@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "rim/core/interference.hpp"
+#include "rim/core/radii.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/highway/a_exp.hpp"
 #include "rim/highway/highway_instance.hpp"
@@ -76,6 +78,33 @@ TEST(Medium, CoverersMatchInterferenceDefinition) {
             (std::vector<NodeId>{0, 2}));
   EXPECT_TRUE(medium.covers(1, 2));
   EXPECT_FALSE(medium.covers(0, 2));
+
+  // The medium's coverers and ranges are exactly Definition 3.1's witnesses
+  // and the topology-induced radii: random MSTs, plus coincident nodes
+  // (0, 1 and 3, 4) and isolated ones (2, 5).
+  const auto expect_matches_core = [](const graph::Graph& g,
+                                      const geom::PointSet& pts) {
+    const Medium m(g, pts);
+    const auto witnesses = core::covering_sets(g, pts);
+    const auto radii = core::transmission_radii(g, pts);
+    ASSERT_EQ(m.node_count(), pts.size());
+    for (NodeId v = 0; v < pts.size(); ++v) {
+      const auto c = m.coverers_of(v);
+      EXPECT_EQ(std::vector<NodeId>(c.begin(), c.end()), witnesses[v]) << v;
+      EXPECT_EQ(m.range(v), radii[v]) << v;
+    }
+  };
+  for (const std::uint64_t seed : {3u, 17u, 99u}) {
+    const geom::PointSet pts = sim::uniform_square(150, 2.5, seed);
+    expect_matches_core(
+        topology::mst_topology(pts, graph::build_udg(pts, 1.0)), pts);
+  }
+  const geom::PointSet special{{0, 0}, {0, 0}, {5, 5}, {1, 0}, {1, 0}, {9, 9}};
+  graph::Graph g(special.size());
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(3, 4);
+  expect_matches_core(g, special);
 }
 
 TEST(Medium, FrameReceptionRules) {

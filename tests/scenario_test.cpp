@@ -163,6 +163,25 @@ TEST(Scenario, OversizedDeltaFallsBackToFullEvaluation) {
   EXPECT_GT(scenario.stats().full_evaluations, full_before);
 }
 
+TEST(Scenario, ParallelDeferredDeltaFallsBackToExactFullEvaluation) {
+  // The same fallback under kParallel with the persistent grid already
+  // built: the deferred full evaluation must still match the oracle.
+  const auto points = sim::uniform_square(3000, 6.0, 41);
+  Scenario scenario(points, mst_of(points),
+                    EvalOptions{}.with_strategy(Strategy::kParallel));
+  (void)scenario.nearest_node({3.0, 3.0});  // builds the grid
+  (void)scenario.interference();
+  const std::uint64_t full_before = scenario.stats().full_evaluations;
+
+  // An edge between two far-apart nodes gives both a deployment-wide disk.
+  const NodeId a = scenario.nearest_node({0.0, 0.0});
+  const NodeId b = scenario.nearest_node({6.0, 6.0});
+  ASSERT_TRUE(scenario.add_edge(a, b));
+  EXPECT_GT(scenario.stats().deferred_mutations, 0u);
+  expect_matches_brute(scenario, "after oversized parallel edge");
+  EXPECT_GT(scenario.stats().full_evaluations, full_before);
+}
+
 TEST(Scenario, MoveToCurrentPositionIsStrictNoOp) {
   // Moving a node onto its own position must not recount, defer, or
   // trigger a full evaluation — the engine treats it as a no-op.

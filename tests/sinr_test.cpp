@@ -51,15 +51,18 @@ NodeSoA store_of(const rim::geom::PointSet& points,
   return nodes;
 }
 
+rim::geom::PointSet deployment_points(std::size_t n, std::uint64_t seed) {
+  return rim::sim::RandomDeployment(
+             rim::sim::RandomDeployment::Params{}.with_nodes(n).with_side(
+                 std::sqrt(static_cast<double>(n) / 12.5)),
+             seed)
+      .generate();
+}
+
 NodeSoA deployment_store(std::size_t n, std::uint64_t seed) {
   // A seeded uniform deployment with NNF-derived radii — the same node
   // family E23 runs, scaled down.
-  const rim::geom::PointSet points =
-      rim::sim::RandomDeployment(
-          rim::sim::RandomDeployment::Params{}.with_nodes(n).with_side(
-              std::sqrt(static_cast<double>(n) / 12.5)),
-          seed)
-          .generate();
+  const rim::geom::PointSet points = deployment_points(n, seed);
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
   return store_of(points,
                   rim::core::transmission_radii_squared(forest, points));
@@ -224,10 +227,12 @@ TEST(SinrAssessor, StripedScatterBitIdenticalWithFewerNodesThanStripes) {
 // --- Model plumbing through the Assessor facade. ---
 
 TEST(SinrAssessor, AssessorModelSinrProjectsSignificantCounts) {
-  const NodeSoA nodes = deployment_store(150, 13);
+  const rim::geom::PointSet points = deployment_points(150, 13);
+  const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
   const rim::core::InterferenceSummary via_assessor = rim::core::Assessor{}.assess(
-      nodes, Strategy::kGrid, EvalOptions{}.with_model(Model::kSinr));
-  const SinrSummary direct = SinrAssessor{}.assess(nodes);
+      forest, points,
+      EvalOptions{}.with_strategy(Strategy::kGrid).with_model(Model::kSinr));
+  const SinrSummary direct = SinrAssessor{}.assess(deployment_store(150, 13));
   EXPECT_EQ(via_assessor.per_node, direct.per_node);
   EXPECT_EQ(via_assessor.max, direct.max);
 }
