@@ -50,11 +50,14 @@ int main() {
             disk_frames.push_back(static_cast<double>(disk));
             sinr_frames.push_back(static_cast<double>(sinr));
           }
+          const double disk_r = analysis::pearson(interference, disk_frames);
+          const double sinr_r = analysis::pearson(interference, sinr_frames);
           out << "-- topology zoo, uniform n=150\n";
           table.print(out);
-          out << "\ncorrelation I(G') vs frame length: disk "
-              << analysis::pearson(interference, disk_frames) << ", SINR "
-              << analysis::pearson(interference, sinr_frames) << "\n\n";
+          out << "\ncorrelation I(G') vs frame length: disk " << disk_r
+              << ", SINR " << sinr_r << "\n"
+              << "ACCEPTANCE: zoo Pearson(I, frame) >= 0.9 (disk and SINR) "
+              << (disk_r >= 0.9 && sinr_r >= 0.9 ? "PASS" : "FAIL") << "\n\n";
         }
 
         // Part 2: the exponential chain across sizes — frame length follows

@@ -5,7 +5,7 @@
 ///   rim_cli interference --points points.csv --edges edges.csv
 ///                        [--strategy brute|grid|parallel|auto] [--json]
 ///   rim_cli survey    --points points.csv
-///   rim_cli schedule  --points points.csv --edges edges.csv --model disk
+///   rim_cli schedule  --points points.csv --edges edges.csv [--model disk|sinr]
 ///   rim_cli route     --points points.csv --edges edges.csv --from 0 --to 7
 ///   rim_cli serve     --port 7421 --max-sessions 64
 ///   rim_cli client    --port 7421 --demo --shutdown
@@ -210,9 +210,13 @@ int cmd_survey(const Args& args) {
 }
 
 int cmd_schedule(const Args& args) {
+  const std::string model = args.get("model", "disk");
+  if (model != "disk" && model != "sinr") {
+    std::cerr << "unknown --model '" << model << "' (disk|sinr)\n";
+    return 1;
+  }
   const geom::PointSet points = load_points(args);
   const graph::Graph topo = load_edges(args, points.size());
-  const std::string model = args.get("model", "disk");
   const phy::Schedule schedule =
       model == "sinr" ? phy::schedule_links_sinr(topo, points)
                       : phy::schedule_links_disk(topo, points);

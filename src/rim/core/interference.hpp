@@ -85,8 +85,8 @@ struct SinrOptions {
 
   /// Emitted power of a node with squared radius r2: P = kappa() * r2^h,
   /// the squared-radius form of P_u = beta * N * margin * r_u^alpha — the
-  /// weakest power that still closes an r_u-length link alone (phy/sinr.hpp
-  /// uses the same rule).
+  /// weakest power that still closes an r_u-length link alone
+  /// (phy::schedule_links_sinr uses the same rule).
   [[nodiscard]] double kappa() const { return beta * noise * margin; }
 
   /// Far-field truncation factor: contribution < far_field_rel * N exactly

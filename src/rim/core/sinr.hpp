@@ -18,8 +18,9 @@
 ///   P(v) = sum_{u != v, r_u > 0} P_u / d(u, v)^alpha,
 ///
 /// with the power rule P_u = kappa * r_u^alpha (the weakest power that
-/// still closes u's longest link alone — phy/sinr.hpp's rule) and an even
-/// integer path-loss exponent alpha = 2h, so every contribution
+/// still closes u's longest link alone — phy::schedule_links_sinr uses the
+/// same rule and gather kernel) and an even integer path-loss exponent
+/// alpha = 2h, so every contribution
 ///
 ///   (kappa * r2_u^h) / d2^h
 ///
