@@ -5,8 +5,11 @@
 /// backend killed mid-run. Acceptance: every remaining command still
 /// succeeds, the final per-tenant interference answers are byte-identical
 /// (FNV-1a checksummed) to the unkilled twin's, and zero sessions are
-/// lost. The router registry snapshot is written to BENCH_9.json.
+/// lost. It also reports the failover time per moved session and the
+/// replicated bytes per acked mutation. The router registry snapshot is
+/// written to BENCH_9.json.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include "rim/io/table.hpp"
 #include "rim/shard/hash_ring.hpp"
 #include "rim/shard/router.hpp"
+#include "rim/svc/protocol.hpp"
 #include "rim/svc/service.hpp"
 #include "rim/svc/transport.hpp"
 
@@ -44,12 +48,16 @@ double ms_since(Clock::time_point start) {
 
 /// Loopback transport with a kill switch: once tripped every exchange
 /// fails like a SIGKILLed peer (kConnectionLost) — the router's exact
-/// view of a dead shard (same device as the shard_router tests).
+/// view of a dead shard (same device as the shard_router tests). It also
+/// counts the frame bytes of replicate_session requests it carries.
 class KillableTransport final : public svc::Transport {
  public:
   KillableTransport(svc::RequestHandler& handler,
-                    std::shared_ptr<std::atomic<bool>> killed)
-      : inner_(handler), killed_(std::move(killed)) {}
+                    std::shared_ptr<std::atomic<bool>> killed,
+                    std::shared_ptr<std::atomic<std::uint64_t>> replicated)
+      : inner_(handler),
+        killed_(std::move(killed)),
+        replicated_(std::move(replicated)) {}
 
   [[nodiscard]] svc::TransportStatus roundtrip(
       std::string_view frame, std::string& response_frame,
@@ -58,20 +66,28 @@ class KillableTransport final : public svc::Transport {
       error = "backend killed";
       return svc::TransportStatus::kConnectionLost;
     }
+    if (frame.substr(svc::kFrameHeaderBytes)
+            .starts_with(R"({"cmd":"replicate_session")")) {
+      replicated_->fetch_add(frame.size());
+    }
     return inner_.roundtrip(frame, response_frame, error);
   }
 
  private:
   svc::LoopbackTransport inner_;
   std::shared_ptr<std::atomic<bool>> killed_;
+  std::shared_ptr<std::atomic<std::uint64_t>> replicated_;
 };
 
 /// One twin: kBackends in-process Services fronted by a Router.
 struct Cluster {
   std::vector<std::unique_ptr<svc::Service>> services;
   std::vector<std::shared_ptr<std::atomic<bool>>> killed;
+  std::shared_ptr<std::atomic<std::uint64_t>> replicated_bytes =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
   std::unique_ptr<shard::Router> router;
   std::uint64_t requests = 0;
+  std::uint64_t acked_mutations = 0;
 
   Cluster() {
     shard::RouterConfig config;
@@ -86,9 +102,11 @@ struct Cluster {
       auto killed_flag = killed.back();
       config.backends.push_back(
           {"shard-" + std::to_string(i),
-           [service, killed_flag]() -> std::unique_ptr<svc::Transport> {
+           [service, killed_flag,
+            bytes = replicated_bytes]() -> std::unique_ptr<svc::Transport> {
              if (killed_flag->load()) return nullptr;
-             return std::make_unique<KillableTransport>(*service, killed_flag);
+             return std::make_unique<KillableTransport>(*service, killed_flag,
+                                                        bytes);
            },
            nullptr});
     }
@@ -98,6 +116,13 @@ struct Cluster {
   std::string handle(const std::string& payload) {
     ++requests;
     return router->handle(payload);
+  }
+
+  /// handle() for a mutating command, counted when acked.
+  std::string mutate(const std::string& payload) {
+    std::string response = handle(payload);
+    if (response.find("\"ok\":true") != std::string::npos) ++acked_mutations;
+    return response;
   }
 };
 
@@ -167,8 +192,8 @@ int main() {
             return;
           }
           sessions[t] = t + 1;
-          if (!is_ok(killed.handle(seed_payload(t, sessions[t]))) ||
-              !is_ok(clean.handle(seed_payload(t, sessions[t])))) {
+          if (!is_ok(killed.mutate(seed_payload(t, sessions[t]))) ||
+              !is_ok(clean.mutate(seed_payload(t, sessions[t])))) {
             out << "tenant " << t << " seed failed\n";
             ok = false;
             return;
@@ -177,14 +202,25 @@ int main() {
 
         // Interleaved rounds: every tenant advances one batch per round so
         // the kill lands mid-trajectory for all tenants at once.
+        // Failover time of a moved session: the killed twin's command
+        // whose forward was lost, from that forward through the restore to
+        // the re-forwarded command's ack.
         const auto t_run = Clock::now();
         std::uint64_t divergent_commands = 0;
+        std::vector<double> failover_ms;
         for (std::size_t round = 0; round < kRounds; ++round) {
           if (round == kKillAtRound) killed.killed[0]->store(true);
           for (std::size_t t = 0; t < kTenants; ++t) {
             const std::string payload = round_payload(t, sessions[t], round);
-            const std::string clean_response = clean.handle(payload);
-            const std::string killed_response = killed.handle(payload);
+            const std::string clean_response = clean.mutate(payload);
+            const std::uint64_t moved_before =
+                killed.router->counters().sessions_moved.value();
+            const auto t_command = Clock::now();
+            const std::string killed_response = killed.mutate(payload);
+            if (killed.router->counters().sessions_moved.value() !=
+                moved_before) {
+              failover_ms.push_back(ms_since(t_command));
+            }
             if (!is_ok(killed_response) ||
                 clean_response != killed_response) {
               ++divergent_commands;
@@ -215,6 +251,17 @@ int main() {
         const double req_per_s =
             run_ms > 0.0 ? double(requests) * 1000.0 / run_ms : 0.0;
 
+        std::sort(failover_ms.begin(), failover_ms.end());
+        const double failover_median =
+            failover_ms.empty() ? 0.0 : failover_ms[failover_ms.size() / 2];
+        const double failover_max =
+            failover_ms.empty() ? 0.0 : failover_ms.back();
+        const double bytes_per_mutation =
+            killed.acked_mutations == 0
+                ? 0.0
+                : static_cast<double>(killed.replicated_bytes->load()) /
+                      static_cast<double>(killed.acked_mutations);
+
         io::Table table({"tenants", "shards", "rounds", "wall ms", "req/s",
                          "moved", "lost", "identical"});
         table.row()
@@ -227,6 +274,13 @@ int main() {
             .cell(lost)
             .cell(identical);
         table.print(out);
+        out << "failover per moved session: median " << failover_median
+            << " ms, max " << failover_max << " ms over "
+            << failover_ms.size() << " sessions\n"
+            << "replicated bytes per acked mutation: " << bytes_per_mutation
+            << " (" << killed.replicated_bytes->load()
+            << " replicate_session bytes / " << killed.acked_mutations
+            << " acked mutating commands, killed twin)\n";
 
         if (identical == kTenants && divergent_commands == 0) {
           out << "ACCEPTANCE: checksum-identical tenants " << identical << "/"
@@ -256,6 +310,9 @@ int main() {
         bench["sessions_moved"] = io::Json(moved);
         bench["sessions_lost"] = io::Json(lost);
         bench["checksum_identical"] = io::Json(identical);
+        bench["failover_ms_median"] = io::Json(failover_median);
+        bench["failover_ms_max"] = io::Json(failover_max);
+        bench["replicated_bytes_per_mutation"] = io::Json(bytes_per_mutation);
         analysis::stamp_bench(bench);
         killed.router->registry().add_source(
             "bench", [b = io::Json(std::move(bench))] { return b; });

@@ -258,15 +258,18 @@ std::uint64_t fnv1a_words(std::span<const std::uint32_t> words) {
   return h;
 }
 
-std::string double_to_hex_bits(double value) {
+std::string u64_to_hex(std::uint64_t value) {
   static constexpr char kDigits[] = "0123456789abcdef";
-  const std::uint64_t bits = double_bits(value);
   std::string out(16, '0');
   for (int i = 0; i < 16; ++i) {
     out[static_cast<std::size_t>(i)] =
-        kDigits[(bits >> (4 * (15 - i))) & 0xF];
+        kDigits[(value >> (4 * (15 - i))) & 0xF];
   }
   return out;
+}
+
+std::string double_to_hex_bits(double value) {
+  return u64_to_hex(double_bits(value));
 }
 
 bool double_from_hex_bits(const std::string& hex, double& value) {

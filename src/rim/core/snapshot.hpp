@@ -103,6 +103,10 @@ struct Snapshot {
 /// shared by Snapshot and sim::WorkloadDriver).
 [[nodiscard]] std::uint64_t fnv1a_words(std::span<const std::uint32_t> words);
 
+/// \p value as 16 lowercase hex digits. JSON numbers are doubles, which
+/// round above 2^53, so 64-bit checksums travel in this form.
+[[nodiscard]] std::string u64_to_hex(std::uint64_t value);
+
 /// Bit-exact double <-> 16-hex-digit text (used by the JSON encoding of
 /// fuzz traces).
 [[nodiscard]] std::string double_to_hex_bits(double value);

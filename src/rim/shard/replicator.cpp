@@ -1,7 +1,5 @@
 #include "rim/shard/replicator.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "rim/svc/protocol.hpp"
@@ -9,6 +7,11 @@
 namespace rim::shard {
 
 namespace {
+
+/// What a peer's empty base counts as in the compaction rule, having no
+/// snapshot to measure: appending a new session's first few KiB is
+/// cheaper than a snapshot round trip.
+constexpr std::size_t kEmptyBaseBytes = std::size_t{4} << 10;
 
 /// Run one exchange and parse the response envelope. True iff the
 /// exchange succeeded and the response is ok:true; \p result then holds
@@ -40,17 +43,30 @@ bool call_ok(const Exchange& exchange, const std::string& backend,
   return true;
 }
 
-/// Rewrite the "session" field of a journaled request payload to the
-/// replayed session id. False when the payload no longer parses (it was
-/// acked by a backend, so this indicates memory corruption, not input).
-bool rewrite_session(const std::string& payload, std::uint64_t session,
-                     std::string& out, std::string& error) {
-  io::Json request;
-  if (!io::Json::parse(payload, request, error)) return false;
-  io::JsonObject object = *request.as_object();
-  object["session"] = io::Json(session);
-  out = io::Json(std::move(object)).dump();
-  return true;
+/// A replicate_session append of \p entries, the requests with seqs \p seq,
+/// seq+1, .... Entries are spliced in verbatim: they are serialised
+/// documents, and carried as strings every quote would be escaped.
+std::string append_request(std::uint64_t origin, std::uint64_t seq,
+                           const std::vector<std::string>& entries) {
+  std::string out = std::string(R"({"cmd":")") +
+                    svc::cmd::kReplicateSession + R"(","entries":[)";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i != 0) out += ',';
+    out += entries[i];
+  }
+  out += R"(],"id":0,"origin":)" + std::to_string(origin) + R"(,"seq":)" +
+         std::to_string(seq) + "}";
+  return out;
+}
+
+/// {"cmd": command, "id": 0, key: value}.
+std::string request(const char* command, const char* key,
+                    std::uint64_t value) {
+  io::JsonObject object;
+  object["cmd"] = io::Json(command);
+  object["id"] = io::Json(std::uint64_t{0});
+  object[key] = io::Json(value);
+  return io::Json(std::move(object)).dump();
 }
 
 }  // namespace
@@ -59,6 +75,7 @@ io::Json ReplicatorCounters::to_json() const {
   io::JsonObject object;
   object["adoption_failures"] = adoption_failures.to_json();
   object["adoptions"] = adoptions.to_json();
+  object["appends"] = appends.to_json();
   object["journal_truncated"] = journal_truncated.to_json();
   object["lag_ns"] = lag_ns.to_json();
   object["replays"] = replays.to_json();
@@ -70,72 +87,84 @@ io::Json ReplicatorCounters::to_json() const {
 bool Replicator::record_mutation(ReplicaState& state, std::string payload,
                                  std::uint64_t now_ns) {
   if (state.journal.size() >= policy_.max_journal) {
-    // The journal only grows while ships keep failing; shedding the
-    // oldest entry keeps memory bounded at the cost of giving up
-    // replayability. The truncated flag makes that loss honest: failover
-    // refuses to replay a journal with a hole (the router reports the
-    // session lost), and the next successful ship heals it.
+    // The journal only grows while replication keeps failing; shedding
+    // the oldest entry keeps memory bounded at the cost of the peer's
+    // catch-up path. The truncated flag makes that loss honest: failover
+    // refuses a journal with a hole (the router reports the session
+    // lost), and the next successful snapshot heals it.
     state.journal.erase(state.journal.begin());
     state.truncated = true;
     ++counters_.journal_truncated;
   }
   if (state.journal.empty()) state.oldest_unshipped_ns = now_ns;
-  state.journal.push_back(JournalEntry{std::move(payload), 0});
-  ++state.muts_since_ship;
-  return state.muts_since_ship >= policy_.ship_every;
+  state.journal.push_back(std::move(payload));
+  ++state.acked_seq;
+  return state.acked_seq - state.peer_seq >= policy_.ship_every;
 }
 
 bool Replicator::ship(std::uint64_t origin, const std::string& owner,
                       std::uint64_t owner_session, const std::string& peer,
                       const Exchange& exchange, ReplicaState& state,
                       std::uint64_t now_ns) {
+  if (state.peer != peer) {
+    // Another backend holds nothing this state counted on.
+    drop(origin, exchange, state);
+    state.peer = peer;
+    state.peer_seq = 0;
+    state.snapshot_bytes = 0;
+    state.log_bytes = 0;
+  }
+  std::size_t tail_bytes = 0;
+  for (const std::string& entry : state.journal) tail_bytes += entry.size();
   std::string error;
-  io::JsonObject snapshot_request;
-  snapshot_request["cmd"] = io::Json(svc::cmd::kSnapshot);
-  snapshot_request["id"] = io::Json(std::uint64_t{0});
-  snapshot_request["session"] = io::Json(owner_session);
-  io::Json snapshot_result;
-  if (!call_ok(exchange, owner, io::Json(std::move(snapshot_request)).dump(),
-               snapshot_result, error)) {
-    ++counters_.ship_failures;
-    return false;
+  io::Json result;
+  // An append must start right after the peer's seq, and gives way to a
+  // compacting snapshot once the log would reach the last snapshot's size.
+  // A refused append (a gap: the peer lost what it confirmed) or a failed
+  // one falls through to a snapshot too.
+  const bool appended =
+      state.acked_seq - state.journal.size() == state.peer_seq &&
+      state.log_bytes + tail_bytes <
+          (state.snapshot_bytes != 0 ? state.snapshot_bytes
+                                     : kEmptyBaseBytes) &&
+      call_ok(exchange, peer,
+              append_request(origin, state.peer_seq + 1, state.journal),
+              result, error);
+  if (appended) {
+    state.log_bytes += tail_bytes;
+    ++counters_.appends;
   }
-  io::Json* snapshot_doc = snapshot_result.find("snapshot");
-  if (snapshot_doc == nullptr) {
-    ++counters_.ship_failures;
-    return false;
+  if (!appended) {
+    io::Json snapshot_result;
+    io::Json* snapshot_doc = nullptr;
+    if (call_ok(exchange, owner,
+                request(svc::cmd::kSnapshot, "session", owner_session),
+                snapshot_result, error)) {
+      snapshot_doc = snapshot_result.find("snapshot");
+    }
+    if (snapshot_doc == nullptr) {
+      ++counters_.ship_failures;
+      return false;
+    }
+    // The entry mutex is held, so the snapshot is the state after exactly
+    // acked_seq mutations.
+    io::JsonObject replicate_request;
+    replicate_request["cmd"] = io::Json(svc::cmd::kReplicateSession);
+    replicate_request["id"] = io::Json(std::uint64_t{0});
+    replicate_request["origin"] = io::Json(origin);
+    replicate_request["seq"] = io::Json(state.acked_seq);
+    replicate_request["snapshot"] = std::move(*snapshot_doc);
+    const std::string payload = io::Json(std::move(replicate_request)).dump();
+    if (!call_ok(exchange, peer, payload, result, error)) {
+      ++counters_.ship_failures;
+      return false;
+    }
+    state.snapshot_bytes = payload.size();
+    state.log_bytes = 0;
+    state.truncated = false;
   }
-  // A torn replicate may have stored an earlier attempt at the peer, so
-  // this seq must be above every attempt ever sent — resending a
-  // possibly-landed seq would be rejected as stale forever.
-  const std::uint64_t seq =
-      std::max(state.shipped_seq, state.ship_attempt_seq) + 1;
-  state.ship_attempt_seq = seq;
-  // The snapshot is full owner state: every journaled mutation so far is
-  // covered by it. Tag untagged entries so a failover that adopts this
-  // snapshot (even via a torn-but-landed replicate) skips them.
-  for (JournalEntry& entry : state.journal) {
-    if (entry.ship_seq == 0) entry.ship_seq = seq;
-  }
-  io::JsonObject replicate_request;
-  replicate_request["cmd"] = io::Json(svc::cmd::kReplicateSession);
-  replicate_request["id"] = io::Json(std::uint64_t{0});
-  replicate_request["origin"] = io::Json(origin);
-  replicate_request["seq"] = io::Json(seq);
-  replicate_request["snapshot"] = std::move(*snapshot_doc);
-  io::Json replicate_result;
-  if (!call_ok(exchange, peer,
-               io::Json(std::move(replicate_request)).dump(),
-               replicate_result, error)) {
-    ++counters_.ship_failures;
-    return false;
-  }
-  state.shipped_seq = seq;
+  state.peer_seq = state.acked_seq;
   state.journal.clear();
-  state.muts_since_ship = 0;
-  state.peer = peer;
-  state.has_replica = true;
-  state.truncated = false;
   if (state.oldest_unshipped_ns != 0 &&
       now_ns >= state.oldest_unshipped_ns) {
     counters_.lag_ns.record(now_ns - state.oldest_unshipped_ns);
@@ -148,76 +177,46 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
 bool Replicator::restore(std::uint64_t origin, const std::string& target,
                          const Exchange& exchange, ReplicaState& state,
                          std::uint64_t& backend_session, std::string& error) {
-  io::Json result;
-  const bool adopted = state.has_replica;
-  if (state.has_replica) {
-    io::JsonObject adopt_request;
-    adopt_request["cmd"] = io::Json(svc::cmd::kAdoptSession);
-    adopt_request["id"] = io::Json(std::uint64_t{0});
-    adopt_request["origin"] = io::Json(origin);
-    if (!call_ok(exchange, target, io::Json(std::move(adopt_request)).dump(),
-                 result, error)) {
-      ++counters_.adoption_failures;
-      return false;
-    }
-  } else {
-    // Nothing was ever shipped: the journal holds the session's entire
-    // mutation history, so a fresh session + full replay reconstructs it.
-    io::JsonObject create_request;
-    create_request["cmd"] = io::Json(svc::cmd::kCreateSession);
-    create_request["id"] = io::Json(std::uint64_t{0});
-    if (!call_ok(exchange, target, io::Json(std::move(create_request)).dump(),
-                 result, error)) {
-      ++counters_.adoption_failures;
-      return false;
-    }
-  }
-  const io::Json* session_field = result.find("session");
-  std::uint64_t session = 0;
-  if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(), session)) {
+  // The journal is the tail the peer has not confirmed; a torn append may
+  // have delivered part of it, which the peer skips. A target that holds
+  // less than the journal's start refuses the gap.
+  io::Json appended;
+  io::Json adopted;
+  if (!call_ok(exchange, target,
+               append_request(origin,
+                              state.acked_seq - state.journal.size() + 1,
+                              state.journal),
+               appended, error) ||
+      !call_ok(exchange, target,
+               request(svc::cmd::kAdoptSession, "origin", origin), adopted,
+               error)) {
     ++counters_.adoption_failures;
-    error = target + " returned no session id";
     return false;
   }
-  // The adopted replica may be newer than the last *acked* ship (a torn
-  // replicate that landed): its seq says exactly which journal entries
-  // its snapshot already contains, and replaying those would apply them
-  // twice.
-  std::uint64_t adopted_seq = 0;
-  if (adopted) {
-    const io::Json* seq_field = result.find("seq");
-    if (seq_field != nullptr) {
-      (void)svc::json_to_u64(*seq_field,
-                             std::numeric_limits<std::uint64_t>::max(),
-                             adopted_seq);
-    }
+  // Exactly-once: the promoted session holds every acked mutation and
+  // nothing more.
+  const std::uint64_t seq = svc::u64_field(adopted, "seq", "").value_or(0);
+  if (seq != state.acked_seq) {
+    ++counters_.adoption_failures;
+    error = target + " adopted seq " + std::to_string(seq) + " but " +
+            std::to_string(state.acked_seq) + " mutations were acked";
+    return false;
   }
-  for (const JournalEntry& entry : state.journal) {
-    if (adopted && entry.ship_seq != 0 && entry.ship_seq <= adopted_seq) {
-      continue;  // already inside the adopted snapshot
-    }
-    std::string replay_payload;
-    if (!rewrite_session(entry.payload, session, replay_payload, error)) {
-      ++counters_.adoption_failures;
-      return false;
-    }
-    io::Json replay_result;
-    if (!call_ok(exchange, target, replay_payload, replay_result, error)) {
-      ++counters_.adoption_failures;
-      return false;
-    }
-    ++counters_.replays;
-  }
-  backend_session = session;
-  // The replica (if any) was consumed by the adopt; the caller ships a
-  // fresh snapshot to a new peer to restore redundancy.
-  state.peer.clear();
-  state.has_replica = false;
-  state.ship_attempt_seq = std::max(state.ship_attempt_seq, adopted_seq);
+  backend_session = svc::u64_field(adopted, "session", "").value_or(0);
+  counters_.replays += svc::u64_field(appended, "appended", "").value_or(0);
+  // The adopt consumed the replica; the caller ships to a new peer.
+  state = ReplicaState{};
+  state.acked_seq = seq;
   ++counters_.adoptions;
   return true;
+}
+
+void Replicator::drop(std::uint64_t origin, const Exchange& exchange,
+                      const ReplicaState& state) {
+  if (state.peer.empty()) return;
+  std::string response;
+  (void)exchange(state.peer, request(svc::cmd::kDropReplica, "origin", origin),
+                 response);
 }
 
 }  // namespace rim::shard

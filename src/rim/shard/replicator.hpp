@@ -10,31 +10,22 @@
 #include "rim/svc/transport.hpp"
 
 /// \file replicator.hpp
-/// Spill-to-peer session replication for the shard router (DESIGN.md §14).
+/// Log replication of routed sessions to a peer shard (DESIGN.md §14.2).
 ///
-/// The PR 5 SessionManager spills LRU sessions to disk as versioned,
-/// checksummed core::Snapshots and restores them bit-identically. The
-/// Replicator promotes that path to *spill-to-peer*: after every
-/// `ship_every` acked mutating commands on a session, the router fetches
-/// the owner backend's snapshot and streams it to the session's designated
-/// peer shard (replicate_session). Between ships, acked mutating request
-/// payloads accumulate in a per-session journal.
+/// Every acked mutating request gets the session's next seq (the count of
+/// acked mutations) and joins its journal. Every `ship_every` acked
+/// mutations a round appends the journal to the session's peer, which
+/// keeps a base snapshot plus that log (svc::ReplicaStore); its
+/// confirmation empties the journal. The owner's snapshot replaces the
+/// append when the peer cannot take it (a new or changed peer, a
+/// truncated journal, a refused gap) or to compact the log.
 ///
-/// **Exactly-once failover.** The replica + journal describe *acked*
-/// state only: a command torn by a connection loss was never journaled,
-/// so restore() — adopt the replica at the peer, replay the journal in
-/// order — reconstructs precisely the state every acked command produced,
-/// after which the router re-forwards the torn command once. No command
-/// is applied twice and none is lost, which is what makes the E24
-/// kill-a-shard run checksum-identical to its unkilled twin.
-///
-/// A *replicate* exchange can tear too: the peer stores the snapshot but
-/// the response is lost. Two mechanisms keep that exactly-once: every
-/// ship attempt uses a fresh sequence number strictly above any attempt
-/// ever sent (a possibly-landed torn ship is never resent as "stale"),
-/// and every journal entry is tagged with the first ship seq whose
-/// snapshot covered its effects — restore() drops entries the adopted
-/// replica's seq already covers instead of replaying them twice.
+/// **Exactly-once failover.** A peer at seq s holds the state after acked
+/// mutations 1..s: it skips appended entries it holds and refuses gaps,
+/// and a command torn by a lost connection was never acked, so has no
+/// seq. restore() appends the unconfirmed journal, adopt_session replays
+/// the peer's log there, and the adopted seq must equal the acked one;
+/// the router then re-forwards the torn command once.
 ///
 /// The Replicator is transport-agnostic: every backend exchange goes
 /// through an injected Exchange callable (the router wires it to its
@@ -52,57 +43,44 @@ using Exchange = std::function<svc::TransportStatus(
     std::string& response_payload)>;
 
 struct ReplicationPolicy {
-  /// Ship a snapshot to the peer after this many acked mutating commands
-  /// (1 = after every mutating command batch; the replication cadence).
+  /// Replicate after this many acked mutating commands (1 = after every
+  /// mutating command; the replication cadence).
   std::size_t ship_every = 1;
-  /// Journal entries beyond this are a configuration error surfaced via
-  /// ship-failure accounting (the journal only grows while ships fail).
+  /// Journal entries beyond this are shed (the journal only grows while
+  /// replication fails); see ReplicaState::truncated.
   std::size_t max_journal = 4096;
 };
 
 /// Lock-free counters + replication lag histogram (registered under the
 /// router's "shard.router" registry source).
 struct ReplicatorCounters {
-  obs::Counter shipped;             ///< snapshots accepted by a peer
-  obs::Counter ship_failures;       ///< snapshot/replicate exchanges failed
+  obs::Counter shipped;             ///< replication rounds a peer acked
+  obs::Counter appends;             ///< of those, acked as log appends
+  obs::Counter ship_failures;       ///< replication rounds failed
   obs::Counter journal_truncated;   ///< mutations dropped past max_journal
-  obs::Counter replays;             ///< journal entries replayed on restore
+  obs::Counter replays;  ///< journal entries a peer first got at failover
   obs::Counter adoptions;           ///< replicas promoted on a peer
   obs::Counter adoption_failures;   ///< restore() runs that failed
-  obs::Histogram lag_ns;            ///< mutation-ack → replica-shipped lag
+  obs::Histogram lag_ns;            ///< mutation-ack → peer-confirmed lag
 
   [[nodiscard]] io::Json to_json() const;
-};
-
-/// One acked mutating request awaiting snapshot coverage.
-struct JournalEntry {
-  std::string payload;  ///< acked mutating request (the replay script)
-  /// Seq of the first ship attempt whose snapshot included this entry's
-  /// effects (0 = never included). Snapshots are full owner state, so a
-  /// replica adopted at seq >= ship_seq already contains the mutation and
-  /// replaying it would double-apply.
-  std::uint64_t ship_seq = 0;
 };
 
 /// Per-session replication state. Guarded by the owning session entry's
 /// mutex (router.hpp); the Replicator never locks.
 struct ReplicaState {
-  /// Acked mutating requests since the last successful ship, in ack
-  /// order (the replay script).
-  std::vector<JournalEntry> journal;
-  std::uint64_t shipped_seq = 0;        ///< last ship acked by a peer
-  /// Highest seq ever sent in a replicate exchange (>= shipped_seq). A
-  /// torn replicate may have landed at the peer, so the next attempt
-  /// must use a seq above every attempt, not just above the acked one.
-  std::uint64_t ship_attempt_seq = 0;
-  std::uint64_t muts_since_ship = 0;
+  /// Acked mutating requests `peer` has not confirmed, in ack order: the
+  /// last one has seq acked_seq, the first acked_seq - journal.size() + 1.
+  std::vector<std::string> journal;
+  std::uint64_t acked_seq = 0;          ///< acked mutations so far
+  std::uint64_t peer_seq = 0;           ///< seq `peer` confirmed holding
+  std::size_t snapshot_bytes = 0;       ///< last snapshot sent to `peer`
+  std::size_t log_bytes = 0;            ///< appended to `peer` since
   std::uint64_t oldest_unshipped_ns = 0;///< ack time of journal.front()
   std::string peer;                     ///< backend holding the replica
-  bool has_replica = false;
-  /// The journal shed acked entries past max_journal: any replay now
-  /// reconstructs partial state, so failover must report the session
-  /// lost instead. Cleared by the next successful ship (the snapshot is
-  /// full state, superseding everything the journal dropped).
+  /// The journal shed acked entries past max_journal: only a snapshot
+  /// brings a peer up to date, and failover reports the session lost.
+  /// Cleared by the next successful snapshot.
   bool truncated = false;
 };
 
@@ -114,34 +92,33 @@ class Replicator {
   Replicator& operator=(const Replicator&) = delete;
 
   /// Record one acked mutating request \p payload at \p now_ns. Returns
-  /// true when the cadence says a ship is due.
+  /// true when the cadence says a replication round is due.
   bool record_mutation(ReplicaState& state, std::string payload,
                        std::uint64_t now_ns);
 
-  /// Fetch \p origin's snapshot from \p owner (backend session
-  /// \p owner_session) and ship it to \p peer at the next ship sequence.
-  /// On success the journal resets and the replication lag is recorded.
-  /// On failure the journal is kept — the next mutation retries.
+  /// One replication round to \p peer: append the journal, or ship the
+  /// snapshot of \p owner's session \p owner_session. On success the peer
+  /// holds acked_seq and the journal empties; on failure it is kept.
   bool ship(std::uint64_t origin, const std::string& owner,
             std::uint64_t owner_session, const std::string& peer,
             const Exchange& exchange, ReplicaState& state,
             std::uint64_t now_ns);
 
-  /// Failover restore onto \p target: adopt the replica (or create a
-  /// fresh session when nothing was ever shipped — the journal then holds
-  /// the session's whole history) and replay the journal in order. On
-  /// success \p backend_session is the promoted session's id on \p target
-  /// and the state's replica bookkeeping resets (the caller re-ships to a
-  /// new peer). False with \p error when the peer cannot reconstruct the
-  /// session — the session is lost.
+  /// Failover onto \p target (normally the peer): append the journal,
+  /// then adopt_session. On success \p backend_session is the promoted
+  /// session and the state has no peer; false with \p error when the
+  /// target cannot reach acked_seq — the session is lost.
   bool restore(std::uint64_t origin, const std::string& target,
                const Exchange& exchange, ReplicaState& state,
                std::uint64_t& backend_session, std::string& error);
 
+  /// Best-effort drop_replica at the state's peer (session close).
+  void drop(std::uint64_t origin, const Exchange& exchange,
+            const ReplicaState& state);
+
   [[nodiscard]] const ReplicatorCounters& counters() const {
     return counters_;
   }
-  [[nodiscard]] const ReplicationPolicy& policy() const { return policy_; }
 
  private:
   const ReplicationPolicy policy_;

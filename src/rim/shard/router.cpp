@@ -226,21 +226,9 @@ std::string Router::close_session(std::uint64_t id, const io::Json& request) {
         response = std::move(backend_response);
       }
     }
-    if (entry->repl.has_replica) {
-      // Best effort: a dangling replica is harmless (bounded by the
-      // store's capacity) and a later replicate for the same origin
-      // would supersede it anyway.
-      io::JsonObject drop;
-      drop["cmd"] = io::Json(svc::cmd::kDropReplica);
-      drop["id"] = io::Json(std::uint64_t{0});
-      drop["origin"] = io::Json(entry->id);
-      Backend* peer = backend_by_name(entry->repl.peer);
-      if (peer != nullptr) {
-        std::string drop_response;
-        (void)exchange_with(*peer, io::Json(std::move(drop)).dump(),
-                            drop_response);
-      }
-    }
+    // Best effort: a dangling replica is harmless (bounded by the store's
+    // capacity) and a later replicate for the same origin supersedes it.
+    replicator_.drop(entry->id, exchange_, entry->repl);
     if (response.empty()) {
       // The owner is gone: discarding the routing entry and replica IS
       // the close — answer exactly what a direct service would.
@@ -311,15 +299,7 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
     if (status == svc::TransportStatus::kOk) {
       if (svc::is_mutating_command(command) && response_is_ok(response) &&
           replicator_.record_mutation(entry.repl, payload, obs::now_ns())) {
-        const std::string peer = pick_peer_for(entry.id, entry.owner);
-        if (!peer.empty()) {
-          // A failed ship keeps the journal; the next acked mutation
-          // retries. With no live peer (single surviving backend) the
-          // journal simply accumulates.
-          (void)replicator_.ship(entry.id, entry.owner,
-                                 entry.backend_session, peer, exchange_,
-                                 entry.repl, obs::now_ns());
-        }
+        replicate_locked(entry);
       }
       return response;
     }
@@ -348,35 +328,26 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
 
 bool Router::failover_locked(SessionEntry& entry, std::string& error) {
   if (entry.repl.truncated) {
-    // The journal shed acked mutations past max_journal, so any replay
-    // now reconstructs partial state. Honest loss beats silently wrong
+    // The journal shed acked mutations past max_journal, so no peer can be
+    // brought up to the acked state. Honest loss beats silently wrong
     // answers (the E24 checksum-identity contract).
     error = "replay journal was truncated; restored state would be "
             "incomplete";
     mark_lost_locked(entry);
     return false;
   }
-  const std::size_t max_attempts = backends_.size() + 1;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    std::string target;
-    if (entry.repl.has_replica) {
-      Backend* peer = backend_by_name(entry.repl.peer);
-      if (peer == nullptr || peer->state.load(std::memory_order_acquire) ==
-                                 BackendState::kDown) {
-        error = "replica peer '" + entry.repl.peer + "' is down";
-        break;
-      }
-      target = entry.repl.peer;
-    } else if (entry.repl.shipped_seq == 0) {
-      // Nothing was ever shipped, so the journal holds the session's
-      // whole history: any live backend can rebuild it from scratch.
-      target = pick_owner(entry.id);
-      if (target.empty()) {
-        error = "no live backends";
-        break;
-      }
-    } else {
-      error = "journal is partial and the replica was consumed";
+  // A target that dies mid-restore is down, so the next attempt picks
+  // another; one attempt per backend plus the first bounds the loop.
+  for (std::size_t attempt = 0; attempt <= backends_.size(); ++attempt) {
+    // Without a live peer any live backend can still rebuild the session
+    // from the empty base when the journal reaches back to seq 1; the
+    // restore's append refuses the gap otherwise.
+    const std::string target =
+        backend_state(entry.repl.peer) != BackendState::kDown
+            ? entry.repl.peer
+            : pick_owner(entry.id);
+    if (target.empty()) {
+      error = "no live backends";
       break;
     }
     std::uint64_t backend_session = 0;
@@ -385,27 +356,26 @@ bool Router::failover_locked(SessionEntry& entry, std::string& error) {
       entry.owner = target;
       entry.backend_session = backend_session;
       ++counters_.sessions_moved;
-      // Redundancy was consumed by the adopt; re-ship to a fresh peer
+      // Redundancy was consumed by the adopt; replicate to a fresh peer
       // right away so a second failure stays survivable.
-      const std::string peer = pick_peer_for(entry.id, target);
-      if (!peer.empty()) {
-        (void)replicator_.ship(entry.id, target, backend_session, peer,
-                               exchange_, entry.repl, obs::now_ns());
-      }
+      replicate_locked(entry);
       return true;
     }
-    Backend* target_backend = backend_by_name(target);
-    if (target_backend != nullptr &&
-        target_backend->state.load(std::memory_order_acquire) !=
-            BackendState::kDown) {
-      // The target is alive but refused (restore_failed, replica gone):
-      // no other backend can do better.
-      break;
-    }
-    // The target died mid-restore; re-evaluate sources and retry.
+    // A live target refused (restore_failed, a gap): none can do better.
+    if (backend_state(target) != BackendState::kDown) break;
   }
   mark_lost_locked(entry);
   return false;
+}
+
+void Router::replicate_locked(SessionEntry& entry) {
+  // With no live peer (a single surviving backend) the journal simply
+  // accumulates; a failed round keeps it and the next mutation retries.
+  const std::string peer = pick_peer_for(entry.id, entry.owner);
+  if (!peer.empty()) {
+    (void)replicator_.ship(entry.id, entry.owner, entry.backend_session, peer,
+                           exchange_, entry.repl, obs::now_ns());
+  }
 }
 
 std::string Router::shard_status(std::uint64_t id) {

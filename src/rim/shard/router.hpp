@@ -41,18 +41,18 @@
 /// command by command). ping/metrics/shutdown (Frontend) and
 /// shard_status are answered by the router itself.
 ///
-/// **Replication & failover.** After every acked mutating command the
-/// session's Replicator journal grows; at the configured cadence the
-/// owner's snapshot is shipped to the session's peer shard
+/// **Replication & failover.** Each acked mutating command gets the
+/// session's next seq and joins its journal, which the Replicator
+/// appends to the session's peer shard at the configured cadence
 /// (replicator.hpp). A backend that fails a health probe enters kSuspect
 /// and is retried on the deterministic backoff schedule (retry.hpp); a
 /// connection lost mid-forward, or an exhausted probe budget, moves it to
 /// kDown (terminal until a probe succeeds again). Sessions owned by a
-/// dead backend fail over lazily on next touch: adopt the replica at the
-/// peer, replay the journal, re-forward the interrupted command — then
-/// ship a fresh snapshot to a new peer to restore redundancy. The
-/// interrupted command was never journaled (only *acked* commands are),
-/// so it applies exactly once.
+/// dead backend fail over lazily on next touch: the peer takes the
+/// unconfirmed journal and adopts the session up to the acked seq, the
+/// router re-forwards the interrupted command — never journaled, since
+/// only *acked* commands are, so it applies exactly once — and then
+/// replicates to a new peer.
 ///
 /// **Lock order** (machine-checked by rim_lint --project, §13):
 ///   Router::table_mutex_ → SessionEntry::entry_mutex →
@@ -96,7 +96,7 @@ struct RouterConfig {
   std::size_t max_in_flight = 256;
   /// Per-frame payload cap enforced by the router's transports.
   std::size_t max_frame_bytes = svc::kDefaultMaxFrameBytes;
-  /// Snapshot ship cadence + journal bound (replicator.hpp).
+  /// Replication cadence + journal bound (replicator.hpp).
   ReplicationPolicy replication{};
   /// Health probe retry schedule (retry.hpp); max_attempts consecutive
   /// probe failures move a backend kSuspect → kDown.
@@ -211,10 +211,12 @@ class Router final : public svc::Frontend {
                                            const std::string& command,
                                            const io::Json& request)
       RIM_REQUIRES(entry.entry_mutex);
-  /// Move \p entry off its dead owner: restore at the replica peer (or a
-  /// fresh backend when nothing was shipped), then re-ship to a new peer.
+  /// Move \p entry off its dead owner: restore at the replica peer (or
+  /// any live backend when the peer is gone), then ship to a new peer.
   [[nodiscard]] bool failover_locked(SessionEntry& entry, std::string& error)
       RIM_REQUIRES(entry.entry_mutex);
+  /// One replication round to \p entry's ring-designated peer.
+  void replicate_locked(SessionEntry& entry) RIM_REQUIRES(entry.entry_mutex);
   [[nodiscard]] std::string shard_status(std::uint64_t id);
 
   // --- single-lock helpers (each takes exactly one lock; see file

@@ -17,9 +17,8 @@ std::string encode_frame(std::string_view payload) {
   return frame;
 }
 
-FrameStatus try_decode_frame(std::string_view buffer,
-                             std::size_t max_frame_bytes, std::size_t& consumed,
-                             std::string& payload) {
+FrameStatus frame_size(std::string_view buffer, std::size_t max_frame_bytes,
+                       std::size_t& consumed) {
   if (buffer.size() < kFrameHeaderBytes) return FrameStatus::kNeedMore;
   std::uint32_t length = 0;
   for (std::size_t byte = 0; byte < kFrameHeaderBytes; ++byte) {
@@ -29,9 +28,20 @@ FrameStatus try_decode_frame(std::string_view buffer,
   }
   if (length > max_frame_bytes) return FrameStatus::kTooLarge;
   if (buffer.size() < kFrameHeaderBytes + length) return FrameStatus::kNeedMore;
-  payload.assign(buffer.substr(kFrameHeaderBytes, length));
   consumed = kFrameHeaderBytes + length;
   return FrameStatus::kFrame;
+}
+
+FrameStatus try_decode_frame(std::string_view buffer,
+                             std::size_t max_frame_bytes, std::size_t& consumed,
+                             std::string& payload) {
+  std::size_t size = 0;
+  const FrameStatus status = frame_size(buffer, max_frame_bytes, size);
+  if (status == FrameStatus::kFrame) {
+    payload.assign(buffer.substr(kFrameHeaderBytes, size - kFrameHeaderBytes));
+    consumed = size;
+  }
+  return status;
 }
 
 std::string make_ok(std::uint64_t id, io::Json result) {

@@ -59,6 +59,13 @@ enum class FrameStatus : std::uint8_t {
   kTooLarge,  ///< declared length exceeds the cap; the stream is poisoned
 };
 
+/// Check for one complete frame at the front of \p buffer without copying
+/// its payload: on kFrame, \p consumed is the frame's total size; the
+/// other statuses are try_decode_frame's.
+[[nodiscard]] FrameStatus frame_size(std::string_view buffer,
+                                     std::size_t max_frame_bytes,
+                                     std::size_t& consumed);
+
 /// Try to decode one frame from the front of \p buffer. On kFrame,
 /// \p consumed is the total bytes to drop from the buffer and \p payload
 /// holds the payload copy; on kNeedMore both outputs are untouched; on
@@ -88,10 +95,11 @@ inline constexpr const char* kRestore = "restore";
 inline constexpr const char* kSessionStats = "session_stats";
 inline constexpr const char* kMetrics = "metrics";
 inline constexpr const char* kShutdown = "shutdown";
-// Shard replication (DESIGN.md §14): a router ships a session's snapshot
-// to a peer backend (replicate_session), and on failover asks the peer to
-// promote its replica into a live session (adopt_session). drop_replica
-// discards a replica whose origin session closed.
+// Shard replication (DESIGN.md §14): a router appends a session's acked
+// mutating requests, or ships its snapshot, to a peer backend
+// (replicate_session), and on failover asks the peer to promote its
+// replica into a live session (adopt_session). drop_replica discards a
+// replica whose origin session closed.
 inline constexpr const char* kReplicateSession = "replicate_session";
 inline constexpr const char* kAdoptSession = "adopt_session";
 inline constexpr const char* kDropReplica = "drop_replica";
@@ -133,6 +141,10 @@ inline constexpr const char* kShutdownDisabled = "shutdown_disabled";
 inline constexpr const char* kInternal = "internal";
 /// adopt_session named an origin session with no stored replica.
 inline constexpr const char* kNoReplica = "no_replica";
+/// A replicate_session log append started past the replica's next seq:
+/// the peer lacks the mutations between, so the sender must ship a
+/// snapshot instead.
+inline constexpr const char* kReplicaGap = "replica_gap";
 /// The peer vanished mid-exchange and failover could not recover the
 /// request (router-originated; backends never emit this).
 inline constexpr const char* kConnectionLost = "connection_lost";

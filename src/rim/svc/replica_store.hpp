@@ -12,34 +12,28 @@
 #include "rim/obs/metrics.hpp"
 
 /// \file replica_store.hpp
-/// Peer-side storage for replicated session snapshots (DESIGN.md §14).
+/// Peer-side storage for replicated sessions (DESIGN.md §14.2).
 ///
-/// The shard router promotes the PR 5 spill-to-disk path to spill-to-peer:
-/// after each mutating command batch it ships the origin session's
-/// versioned, checksummed core::Snapshot to a designated peer backend via
-/// the replicate_session command. The peer parks the *validated* snapshot
-/// here, keyed by the router's session id (the "origin" — backend-local
-/// session ids differ per process, so the router id is the one stable
-/// name). On failover, adopt_session promotes the replica into a live
-/// session; on session close, drop_replica discards it.
+/// A replica is a base snapshot plus the ordered log of acked mutating
+/// requests the shard router appended after it, keyed by the router's
+/// session id (the "origin": backend-local ids differ per process). Seq s
+/// means the state after the origin's acked mutations 1..s; a replica
+/// first named by an append starts from the empty base at seq 0. Replicas
+/// are stored text plus a decoded snapshot, never a live engine:
+/// adopt_session restores the base and replays the log.
 ///
-/// Monotonicity: each replica carries the router's ship sequence number,
-/// and a put() with a stale seq is rejected — a delayed duplicate ship can
-/// never roll a replica backwards. A put() that exactly matches the
-/// stored replica (same seq, same checksum) answers success instead: a
-/// router retrying a ship whose response was torn must converge, not
-/// wedge on its own earlier delivery.
-///
-/// Snapshots are validated (magic, version, checksum) by the
-/// replicate_session handler *before* they land here, so everything in the
-/// store is restorable modulo engine-option mismatches surfaced at adopt.
+/// Writes converge under resends: append() skips entries the replica
+/// holds and refuses a gap, and put() refuses a snapshot older than the
+/// replica. Snapshots are validated (magic, version, checksum) by the
+/// replicate_session handler *before* they land here.
 
 namespace rim::svc {
 
 /// Lock-free counters (registered under the "svc" registry source).
 struct ReplicaStoreCounters {
-  obs::Counter stored;    ///< replicas accepted (new or newer-seq overwrite)
-  obs::Counter rejected;  ///< puts refused (stale seq or at capacity)
+  obs::Counter stored;    ///< snapshots accepted (new or newer-seq overwrite)
+  obs::Counter appended;  ///< log entries accepted (skipped resends excluded)
+  obs::Counter rejected;  ///< writes refused (stale, gap or at capacity)
   obs::Counter adopted;   ///< replicas promoted into live sessions
   obs::Counter dropped;   ///< replicas discarded via drop_replica/close
 
@@ -49,9 +43,12 @@ struct ReplicaStoreCounters {
 class ReplicaStore {
  public:
   struct Replica {
-    std::uint64_t seq = 0;           ///< router ship sequence number
-    std::uint64_t checksum = 0;      ///< snapshot payload checksum
+    std::uint64_t seq = 0;       ///< base seq + log.size()
+    std::uint64_t checksum = 0;  ///< base snapshot payload checksum
+    bool has_snapshot = false;   ///< false: the base is the empty session
     core::Snapshot snapshot;
+    std::vector<std::string> log;  ///< acked requests after the base
+    std::size_t bytes = 0;         ///< base array bytes + log text bytes
   };
 
   explicit ReplicaStore(std::size_t max_replicas = 1024)
@@ -60,16 +57,27 @@ class ReplicaStore {
   ReplicaStore(const ReplicaStore&) = delete;
   ReplicaStore& operator=(const ReplicaStore&) = delete;
 
-  /// Store \p snapshot as the replica of \p origin at ship sequence
-  /// \p seq. \p checksum must be snapshot.payload_checksum(); callers
-  /// pass the one their decode verified instead of re-encoding.
-  /// Idempotent: a duplicate of the stored replica (same seq and
-  /// checksum) is success. False (with \p error) when seq is otherwise
-  /// not newer than the stored one, or the store is at capacity with
-  /// \p origin absent.
+  /// Replace \p origin's replica with \p snapshot at \p seq and an empty
+  /// log. \p checksum is the payload checksum the caller's decode
+  /// verified. A resend (a log-free replica's seq and checksum) is
+  /// success. False (with \p error) when seq is below the replica's,
+  /// equals a log-free one's with another checksum, or the store is full.
   [[nodiscard]] bool put(std::uint64_t origin, std::uint64_t seq,
                          core::Snapshot snapshot, std::uint64_t checksum,
-                         std::string& error)
+                         std::string& error) RIM_EXCLUDES(store_mutex_);
+
+  struct AppendResult {
+    bool gap = false;          ///< refused: \p seq was past held seq + 1
+    std::uint64_t seq = 0;     ///< the replica's seq afterwards
+    std::size_t appended = 0;  ///< entries that were new
+    std::string error;         ///< empty on success
+  };
+
+  /// Append \p entries, the acked requests with seqs \p seq, seq+1, ...,
+  /// to \p origin's log, creating an empty-base replica when absent.
+  /// Entries at or below the replica's seq are skipped as resends.
+  [[nodiscard]] AppendResult append(std::uint64_t origin, std::uint64_t seq,
+                                    std::vector<std::string> entries)
       RIM_EXCLUDES(store_mutex_);
 
   /// Remove and return the replica of \p origin (the adopt path: a
@@ -82,20 +90,22 @@ class ReplicaStore {
 
   [[nodiscard]] std::size_t size() const RIM_EXCLUDES(store_mutex_);
 
-  /// Ascending origin ids of all stored replicas (shard_status, tests).
-  [[nodiscard]] std::vector<std::uint64_t> origins() const
-      RIM_EXCLUDES(store_mutex_);
+  /// Replica::bytes summed over every stored replica.
+  [[nodiscard]] std::size_t bytes() const RIM_EXCLUDES(store_mutex_);
 
   [[nodiscard]] const ReplicaStoreCounters& counters() const {
     return counters_;
   }
 
  private:
+  /// Capacity check for a write that would add \p origin.
+  [[nodiscard]] bool has_room_locked(std::uint64_t origin, std::string& error)
+      RIM_REQUIRES(store_mutex_);
+
   const std::size_t max_replicas_;
   ReplicaStoreCounters counters_;
 
   mutable common::Mutex store_mutex_;
-  /// std::map: origins() iterates it into deterministic output.
   std::map<std::uint64_t, Replica> replicas_ RIM_GUARDED_BY(store_mutex_);
 };
 

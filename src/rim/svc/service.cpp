@@ -122,6 +122,7 @@ Service::Service(ServiceConfig config)
     object["limits"] = io::Json(std::move(limits));
     object["manager"] = sessions_.counters_json();
     io::JsonObject replicas;
+    replicas["bytes"] = io::Json(replicas_.bytes());
     replicas["count"] = io::Json(replicas_.size());
     replicas["counters"] = replicas_.counters().to_json();
     object["replicas"] = io::Json(std::move(replicas));
@@ -198,6 +199,37 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
   if (command == cmd::kReplicateSession) {
     const auto seq = u64_field(request, "seq", "an integer ship sequence");
     if (!seq) return make_error(id, code::kBadRequest, seq.error());
+    io::JsonObject result;
+    result["origin"] = io::Json(origin);
+    result["stored"] = io::Json(true);
+    if (const io::Json* entries_field = request.find("entries");
+        entries_field != nullptr) {
+      // A log append: keep each acked request as text for adopt to replay.
+      const io::JsonArray* list = entries_field->as_array();
+      std::vector<std::string> entries;
+      for (std::size_t i = 0; list != nullptr && i < list->size(); ++i) {
+        const io::Json* entry_cmd = (*list)[i].find("cmd");
+        const std::string* name =
+            entry_cmd != nullptr ? entry_cmd->as_string() : nullptr;
+        if (name == nullptr || !is_mutating_command(*name)) break;
+        entries.push_back((*list)[i].dump());
+      }
+      if (list == nullptr || entries.size() != list->size()) {
+        return make_error(id, code::kBadRequest,
+                          "field 'entries' must be an array of mutating "
+                          "session requests");
+      }
+      ReplicaStore::AppendResult appended =
+          replicas_.append(origin, *seq, std::move(entries));
+      if (!appended.error.empty()) {
+        return make_error(
+            id, appended.gap ? code::kReplicaGap : code::kBadRequest,
+            appended.error);
+      }
+      result["appended"] = io::Json(appended.appended);
+      result["seq"] = io::Json(appended.seq);
+      return make_ok(id, io::Json(std::move(result)));
+    }
     const io::Json* snapshot_field = request.find("snapshot");
     core::Snapshot snapshot;
     std::uint64_t checksum = 0;
@@ -207,17 +239,15 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
                                    error)) {
       return make_error(id, code::kRestoreFailed,
                         snapshot_field == nullptr
-                            ? "field 'snapshot' must be a snapshot document"
+                            ? "replicate_session needs 'entries' or a "
+                              "'snapshot' document"
                             : error);
     }
     if (!replicas_.put(origin, *seq, std::move(snapshot), checksum, error)) {
       return make_error(id, code::kBadRequest, error);
     }
-    io::JsonObject result;
-    result["checksum"] = io::Json(checksum);
-    result["origin"] = io::Json(origin);
+    result["checksum"] = io::Json(core::u64_to_hex(checksum));
     result["seq"] = io::Json(*seq);
-    result["stored"] = io::Json(true);
     return make_ok(id, io::Json(std::move(result)));
   }
   if (command == cmd::kDropReplica) {
@@ -227,9 +257,11 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     return make_ok(id, io::Json(std::move(result)));
   }
   // cmd::kAdoptSession: promote the replica into a live session. The
-  // replica is *taken* (single adoption), then restored through the same
-  // checkout/restore path a client restore uses, so the promoted session
-  // is observationally identical to the origin at ship time.
+  // replica is *taken* (single adoption), its base restored through the
+  // checkout/restore path a client restore uses, and its log replayed
+  // through dispatch_session_command, the path that applied each entry
+  // at the origin — so the promoted session is observationally identical
+  // to the origin after the replica's last seq.
   ReplicaStore::Replica replica;
   if (!replicas_.take(origin, replica)) {
     return make_error(id, code::kNoReplica,
@@ -238,17 +270,38 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
   std::uint64_t session_id = 0;
   std::string refusal;
   if (!open_session(id, session_id, refusal)) return refusal;
-  const char* error_code = code::kInternal;
   std::string error;
-  std::shared_ptr<Session> pinned =
-      sessions_.checkout(session_id, error_code, error);
-  bool restored = false;
-  if (pinned != nullptr) {
-    {
-      common::MutexLock lock(pinned->mutex);
-      restored = pinned->scenario.restore(replica.snapshot, &error);
+  bool restored = true;
+  if (replica.has_snapshot) {
+    const char* error_code = code::kInternal;
+    std::shared_ptr<Session> pinned =
+        sessions_.checkout(session_id, error_code, error);
+    restored = false;
+    if (pinned != nullptr) {
+      {
+        common::MutexLock lock(pinned->mutex);
+        restored = pinned->scenario.restore(replica.snapshot, &error);
+      }
+      sessions_.checkin(pinned);
     }
-    sessions_.checkin(pinned);
+  }
+  const std::uint64_t base_seq = replica.seq - replica.log.size();
+  for (std::size_t i = 0; restored && i < replica.log.size(); ++i) {
+    io::Json entry;
+    (void)io::Json::parse(replica.log[i], entry, error);
+    io::JsonObject replay = *entry.as_object();
+    replay["session"] = io::Json(session_id);
+    const std::string name = *replay["cmd"].as_string();
+    io::Json response;
+    (void)io::Json::parse(
+        dispatch_session_command(id, name, io::Json(std::move(replay))),
+        response, error);
+    const io::Json* ok = response.find("ok");
+    if (ok == nullptr || !ok->as_bool(false)) {
+      restored = false;
+      error = "replay of seq " + std::to_string(base_seq + i + 1) +
+              " failed: " + response.dump();
+    }
   }
   if (!restored) {
     const char* close_code = code::kInternal;
@@ -258,8 +311,9 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     return make_error(id, code::kRestoreFailed, error);
   }
   io::JsonObject result;
-  result["checksum"] = io::Json(replica.checksum);
+  result["checksum"] = io::Json(core::u64_to_hex(replica.checksum));
   result["origin"] = io::Json(origin);
+  result["replayed"] = io::Json(replica.log.size());
   result["seq"] = io::Json(replica.seq);
   result["session"] = io::Json(session_id);
   return make_ok(id, io::Json(std::move(result)));

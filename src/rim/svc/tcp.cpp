@@ -290,15 +290,15 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
     fd_ = -1;
     return TransportStatus::kConnectionLost;
   }
-  std::string buffer;
-  std::string chunk(std::size_t{1} << 16, '\0');
+  // Allocated once per transport; later calls reuse it without zeroing.
+  if (recv_chunk_.empty()) recv_chunk_.resize(std::size_t{1} << 16);
+  response_frame.clear();
   while (true) {
     std::size_t consumed = 0;
-    std::string payload;
     const FrameStatus status =
-        try_decode_frame(buffer, max_response_frame_bytes, consumed, payload);
+        frame_size(response_frame, max_response_frame_bytes, consumed);
     if (status == FrameStatus::kFrame) {
-      response_frame = buffer.substr(0, consumed);
+      response_frame.resize(consumed);
       return TransportStatus::kOk;
     }
     if (status == FrameStatus::kTooLarge) {
@@ -306,7 +306,7 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
               std::to_string(max_response_frame_bytes) + ")";
       return TransportStatus::kError;
     }
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
+    const ssize_t n = ::recv(fd_, recv_chunk_.data(), recv_chunk_.size(), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n == 0) {
       // EOF with a request in flight: the peer died mid-exchange. This is
@@ -328,7 +328,7 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
       }
       return TransportStatus::kError;
     }
-    buffer.append(chunk.data(), static_cast<std::size_t>(n));
+    response_frame.append(recv_chunk_.data(), static_cast<std::size_t>(n));
   }
 }
 

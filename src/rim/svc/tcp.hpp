@@ -149,6 +149,8 @@ class TcpClientTransport final : public Transport {
  private:
   mutable common::Mutex io_mutex_;
   int fd_ RIM_GUARDED_BY(io_mutex_) = -1;
+  /// recv() target, reused by every exchange.
+  std::string recv_chunk_ RIM_GUARDED_BY(io_mutex_);
 };
 
 }  // namespace rim::svc

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rim/io/json.hpp"
 #include "rim/obs/metrics.hpp"
 #include "rim/shard/hash_ring.hpp"
 #include "rim/shard/router.hpp"
@@ -377,6 +378,239 @@ TEST(ShardFailover, TruncationHealsOnNextSuccessfulShip) {
   EXPECT_EQ(clean.handle(kFinalQuery), killed.handle(kFinalQuery));
   EXPECT_EQ(killed.router->counters().lost_sessions.value(), 0u);
   EXPECT_EQ(killed.router->counters().sessions_moved.value(), 1u);
+}
+
+/// An apply_batch adding \p count nodes along a line. At 200 nodes it
+/// outweighs the 4 KiB an empty base counts as in the compaction rule, so
+/// its round ships a snapshot and the single edits after it are appended.
+std::string seed_batch(std::size_t count) {
+  std::string batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch += std::string(i == 0 ? "" : ",") + R"({"kind":"add_node","x":)" +
+             std::to_string(0.3 * static_cast<double>(i)) + R"(,"y":0.5})";
+  }
+  return R"({"cmd":"apply_batch","id":10,"session":1,"batch":[)" + batch +
+         "]}";
+}
+
+std::string add_node(std::size_t id, double x, double y) {
+  return R"({"cmd":"add_node","id":)" + std::to_string(id) +
+         R"(,"session":1,"x":)" + std::to_string(x) + R"(,"y":)" +
+         std::to_string(y) + "}";
+}
+
+bool is_ok(const std::string& response) {
+  return response.find("\"ok\":true") != std::string::npos;
+}
+
+/// Size of session 1's snapshot document as the router returns it.
+std::size_t snapshot_size(Cluster& cluster) {
+  io::Json response;
+  std::string error;
+  EXPECT_TRUE(io::Json::parse(
+      cluster.handle(R"({"cmd":"snapshot","id":50,"session":1})"), response,
+      error));
+  const io::Json* result = response.find("result");
+  const io::Json* snapshot =
+      result != nullptr ? result->find("snapshot") : nullptr;
+  return snapshot != nullptr ? snapshot->dump().size() : 0;
+}
+
+TEST(ShardFailover, TornAppendRetriedThenFailoverAppliesEachMutationOnce) {
+  // An append lands at the peer but its response is torn. The retry
+  // resends it with the next mutation; the peer skips the entry it holds.
+  // A failover then promotes a replica with every mutation exactly once.
+  Cluster clean(2, /*ship_every=*/1);
+  Cluster torn(2, /*ship_every=*/1);
+  const std::vector<std::string> before = {
+      R"({"cmd":"create_session","id":1})", seed_batch(200),
+      add_node(2, 1.0, 1.0)};
+  for (const std::string& payload : before) {
+    ASSERT_TRUE(is_ok(clean.handle(payload)));
+  }
+  for (const std::string& payload : before) {
+    ASSERT_TRUE(is_ok(torn.handle(payload)));
+  }
+  const std::size_t owner = torn.owner_index(1);
+  const std::size_t peer = 1 - owner;
+  const shard::ReplicatorCounters& counters =
+      torn.router->replicator().counters();
+  EXPECT_EQ(counters.appends.value(), 1u);
+  torn.drop_responses[peer]->store(1);
+  const std::string m2 = add_node(3, 2.0, 1.0);
+  EXPECT_EQ(clean.handle(m2), torn.handle(m2));
+  EXPECT_EQ(counters.ship_failures.value(), 1u);
+  EXPECT_EQ(torn.services[peer]->replicas().counters().appended.value(), 2u);
+
+  torn.router->health_sweep(obs::now_ns());
+  const std::string m3 = add_node(4, 3.0, 1.0);
+  EXPECT_EQ(clean.handle(m3), torn.handle(m3));
+  EXPECT_EQ(counters.appends.value(), 2u);
+  // m2 arrived twice and was stored once.
+  EXPECT_EQ(torn.services[peer]->replicas().counters().appended.value(), 3u);
+
+  torn.killed[owner]->store(true);
+  EXPECT_EQ(clean.handle(kFinalQuery), torn.handle(kFinalQuery));
+  EXPECT_EQ(topology_view(clean.handle(kFinalStats)),
+            topology_view(torn.handle(kFinalStats)));
+  EXPECT_EQ(counters.replays.value(), 0u);
+  EXPECT_EQ(torn.router->counters().sessions_moved.value(), 1u);
+  EXPECT_EQ(torn.router->counters().lost_sessions.value(), 0u);
+}
+
+TEST(ShardFailover, RefusedGapAppendBootstrapsASnapshot) {
+  // The peer lost the replica it confirmed (a restart, say): the next
+  // append would skip mutations, so the peer refuses it with a typed gap
+  // error and the router ships a snapshot in the same round.
+  Cluster clean(2, /*ship_every=*/1);
+  Cluster gap(2, /*ship_every=*/1);
+  const std::vector<std::string> script = {
+      R"({"cmd":"create_session","id":1})", seed_batch(200),
+      add_node(2, 1.0, 1.0), add_node(3, 2.0, 1.0)};
+  const std::size_t peer = 1 - gap.owner_index(1);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    if (i == 3) {
+      EXPECT_TRUE(gap.services[peer]->replicas().drop(1));
+    }
+    EXPECT_EQ(clean.handle(script[i]), gap.handle(script[i]));
+  }
+  const shard::ReplicatorCounters& counters =
+      gap.router->replicator().counters();
+  EXPECT_EQ(counters.shipped.value(), 3u);
+  EXPECT_EQ(counters.appends.value(), 1u);
+  EXPECT_EQ(counters.ship_failures.value(), 0u);
+  const svc::ReplicaStoreCounters& store =
+      gap.services[peer]->replicas().counters();
+  EXPECT_EQ(store.rejected.value(), 1u);
+  EXPECT_EQ(store.stored.value(), 2u);
+
+  gap.killed[gap.owner_index(1)]->store(true);
+  EXPECT_EQ(clean.handle(kFinalQuery), gap.handle(kFinalQuery));
+  EXPECT_EQ(gap.router->counters().lost_sessions.value(), 0u);
+}
+
+TEST(ShardFailover, PeerChangeBootstrapsTheNewPeer) {
+  // The peer dies while the owner lives: the next round picks another
+  // peer, which holds nothing, so it gets a snapshot before any append.
+  Cluster clean(3, /*ship_every=*/1);
+  Cluster moved(3, /*ship_every=*/1);
+  const std::size_t owner = moved.owner_index(1);
+  std::size_t first_peer = 0;
+  std::vector<std::string> script = {R"({"cmd":"create_session","id":1})",
+                                     seed_batch(200), add_node(2, 1.0, 1.0)};
+  for (std::size_t i = 0; i < 5; ++i) {
+    script.push_back(add_node(3 + i, 2.0 + static_cast<double>(i), 1.5));
+  }
+  const shard::ReplicatorCounters& counters =
+      moved.router->replicator().counters();
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    if (i == 3) {
+      while (first_peer == owner ||
+             moved.services[first_peer]->replicas().size() == 0) {
+        ++first_peer;
+      }
+      EXPECT_EQ(counters.appends.value(), 1u);
+      moved.killed[first_peer]->store(true);
+    }
+    EXPECT_EQ(clean.handle(script[i]), moved.handle(script[i]));
+  }
+  const std::size_t new_peer = 3 - owner - first_peer;
+  const svc::ReplicaStoreCounters& store =
+      moved.services[new_peer]->replicas().counters();
+  // Mutation 3's round failed on the dead peer; mutation 4's bootstrapped
+  // the new one with a snapshot (no append it would refuse as a gap) and
+  // 5..7 were appended to it.
+  EXPECT_EQ(counters.ship_failures.value(), 1u);
+  EXPECT_EQ(store.rejected.value(), 0u);
+  EXPECT_EQ(store.stored.value(), 1u);
+  EXPECT_EQ(store.appended.value(), 3u);
+  EXPECT_EQ(counters.appends.value(), 4u);
+
+  moved.killed[owner]->store(true);
+  EXPECT_EQ(clean.handle(kFinalQuery), moved.handle(kFinalQuery));
+  EXPECT_EQ(topology_view(clean.handle(kFinalStats)),
+            topology_view(moved.handle(kFinalStats)));
+  EXPECT_EQ(moved.router->counters().lost_sessions.value(), 0u);
+}
+
+TEST(ShardFailover, RestoreLargerThanTheSnapshotCompactsAtOnce) {
+  // A restore payload bigger than the last snapshot would put the log
+  // over the size rule by itself, so its round ships a snapshot instead.
+  svc::Service donor{svc::ServiceConfig{}};
+  ASSERT_TRUE(is_ok(donor.handle(R"({"cmd":"create_session","id":1})")));
+  ASSERT_TRUE(is_ok(donor.handle(seed_batch(600))));
+  io::Json donor_snapshot;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(
+      donor.handle(R"({"cmd":"snapshot","id":2,"session":1})"),
+      donor_snapshot, error));
+  io::JsonObject restore;
+  restore["cmd"] = io::Json("restore");
+  restore["id"] = io::Json(std::uint64_t{20});
+  restore["session"] = io::Json(std::uint64_t{1});
+  restore["snapshot"] = *donor_snapshot.find("result")->find("snapshot");
+  const std::string restore_payload = io::Json(std::move(restore)).dump();
+
+  Cluster cluster(2, /*ship_every=*/1);
+  for (const std::string& payload :
+       {std::string(R"({"cmd":"create_session","id":1})"), seed_batch(200),
+        add_node(2, 1.0, 1.0)}) {
+    ASSERT_TRUE(is_ok(cluster.handle(payload)));
+  }
+  const std::size_t peer = 1 - cluster.owner_index(1);
+  const shard::ReplicatorCounters& counters =
+      cluster.router->replicator().counters();
+  ASSERT_EQ(counters.appends.value(), 1u);
+  ASSERT_TRUE(is_ok(cluster.handle(restore_payload)));
+  EXPECT_EQ(counters.appends.value(), 1u);
+  EXPECT_EQ(counters.shipped.value(), 3u);
+  svc::ReplicaStore::Replica replica;
+  ASSERT_TRUE(cluster.services[peer]->replicas().take(1, replica));
+  EXPECT_TRUE(replica.log.empty());
+  EXPECT_EQ(replica.seq, 3u);
+  EXPECT_EQ(replica.snapshot.node_count(), 600u);
+}
+
+TEST(ShardFailover, ReplicaStaysWithinTwiceTheSnapshotOver1000Mutations) {
+  // The compaction rule bounds the peer: base plus log never reaches
+  // twice the session's snapshot, however long the session runs.
+  Cluster clean(2, /*ship_every=*/1);
+  Cluster cluster(2, /*ship_every=*/1);
+  for (const std::string& payload :
+       {std::string(R"({"cmd":"create_session","id":1})"), seed_batch(200)}) {
+    ASSERT_TRUE(is_ok(clean.handle(payload)));
+    ASSERT_TRUE(is_ok(cluster.handle(payload)));
+  }
+  const std::size_t owner = cluster.owner_index(1);
+  const svc::ReplicaStore& store = cluster.services[1 - owner]->replicas();
+  std::size_t nodes = 200;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const double x = 0.3 * static_cast<double>(i % 97);
+    const double y = 0.2 * static_cast<double>(i % 13);
+    std::string payload;
+    if (i % 3 == 0) {
+      payload = add_node(100 + i, x, y);
+      ++nodes;
+    } else if (i % 3 == 1) {
+      payload = R"({"cmd":"move","id":7,"session":1,"v":)" +
+                std::to_string(i % nodes) + R"(,"x":)" + std::to_string(y) +
+                R"(,"y":)" + std::to_string(x) + "}";
+    } else {
+      payload = R"({"cmd":"add_edge","id":8,"session":1,"u":)" +
+                std::to_string(i % nodes) + R"(,"v":)" +
+                std::to_string((i * 7 + 1) % nodes) + "}";
+    }
+    ASSERT_EQ(clean.handle(payload), cluster.handle(payload)) << payload;
+    ASSERT_LE(store.bytes(), 2 * snapshot_size(cluster)) << "mutation " << i;
+  }
+  const shard::ReplicatorCounters& counters =
+      cluster.router->replicator().counters();
+  EXPECT_GT(counters.appends.value(), 900u);
+  EXPECT_GT(counters.shipped.value() - counters.appends.value(), 2u)
+      << "the log never compacted";
+  cluster.killed[owner]->store(true);
+  EXPECT_EQ(clean.handle(kFinalQuery), cluster.handle(kFinalQuery));
+  EXPECT_EQ(cluster.router->counters().lost_sessions.value(), 0u);
 }
 
 TEST(ShardFailover, HealthMonitorRestartsAfterStop) {

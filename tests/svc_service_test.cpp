@@ -556,16 +556,72 @@ TEST(SvcReplica, ReplicateChecksumIsPayloadChecksum) {
   ASSERT_TRUE(io::Json::parse(response, replicated, error)) << error;
   const io::Json* result = replicated.find("result");
   ASSERT_NE(result, nullptr) << replicated.dump();
-  // The wire carries the checksum as a JSON number (a double), so compare
-  // it with the expected value in that same representation, and the
-  // stored replica's exactly.
   ASSERT_NE(result->find("checksum"), nullptr);
-  EXPECT_EQ(result->find("checksum")->dump(),
-            io::Json(snapshot.payload_checksum()).dump());
+  ASSERT_NE(result->find("checksum")->as_string(), nullptr);
+  EXPECT_EQ(*result->find("checksum")->as_string(),
+            core::u64_to_hex(snapshot.payload_checksum()));
   ReplicaStore::Replica replica;
   ASSERT_TRUE(service.replicas().take(42, replica));
   EXPECT_EQ(replica.checksum, snapshot.payload_checksum());
   EXPECT_EQ(replica.snapshot.to_bytes(), snapshot.to_bytes());
+}
+
+TEST(SvcReplica, ReplicaChecksumsOnTheWireAreExact) {
+  // A 64-bit FNV-1a checksum is almost always above 2^53, where a JSON
+  // number (a double) would round it. The replicate and adopt answers
+  // carry it as 16 hex digits that parse back to the exact value.
+  Service service{ServiceConfig{}};
+  ASSERT_NE(service.handle(R"({"cmd":"create_session","id":1})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  ASSERT_NE(service
+                .handle(
+                    R"({"cmd":"add_node","id":2,"session":1,"x":0.5,"y":0.5})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  io::Json snapshot_response;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(
+      service.handle(R"({"cmd":"snapshot","id":3,"session":1})"),
+      snapshot_response, error))
+      << error;
+  const io::Json* doc = snapshot_response.find("result")->find("snapshot");
+  ASSERT_NE(doc, nullptr);
+  core::Snapshot snapshot;
+  ASSERT_TRUE(core::Snapshot::from_json(*doc, snapshot, error)) << error;
+  const std::uint64_t expected = snapshot.payload_checksum();
+  // This state's checksum does not survive a trip through a double.
+  ASSERT_NE(static_cast<std::uint64_t>(static_cast<double>(expected)),
+            expected);
+
+  const auto answered_checksum = [&](const std::string& request) {
+    io::Json response;
+    EXPECT_TRUE(io::Json::parse(service.handle(request), response, error));
+    const io::Json* result = response.find("result");
+    const io::Json* field =
+        result != nullptr ? result->find("checksum") : nullptr;
+    const std::string* hex =
+        field != nullptr ? field->as_string() : nullptr;
+    EXPECT_TRUE(hex != nullptr && hex->size() == 16) << response.dump();
+    return hex != nullptr ? std::stoull(*hex, nullptr, 16) : 0;
+  };
+  io::JsonObject replicate;
+  replicate["cmd"] = io::Json("replicate_session");
+  replicate["id"] = io::Json(std::uint64_t{4});
+  replicate["origin"] = io::Json(std::uint64_t{5});
+  replicate["seq"] = io::Json(std::uint64_t{1});
+  replicate["snapshot"] = *doc;
+  EXPECT_EQ(answered_checksum(io::Json(std::move(replicate)).dump()),
+            expected);
+  ASSERT_NE(service
+                .handle(R"({"cmd":"replicate_session","entries":[)"
+                        R"({"cmd":"add_node","x":1.0,"y":0.5}],"id":5,)"
+                        R"("origin":5,"seq":2})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(answered_checksum(
+                R"({"cmd":"adopt_session","id":6,"origin":5})"),
+            expected);
 }
 
 TEST(SvcReplica, StoreExactDuplicatePutIsIdempotent) {
