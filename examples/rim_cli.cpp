@@ -268,9 +268,10 @@ void stop_on_signals(svc::Frontend* frontend) {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
-/// `rim_cli serve --port N --max-sessions K [--max-live L] [--threads T]
-///  [--spill-dir DIR]` — serve sessions until SIGINT/SIGTERM or a wire
-/// `shutdown` command, then stop cleanly (joining every thread).
+/// `rim_cli serve --port N --max-sessions K [--max-live L]
+///  [--max-in-flight F] [--spill-dir DIR]` — serve sessions until
+/// SIGINT/SIGTERM or a wire `shutdown` command, then stop cleanly (joining
+/// every thread). Each connection is served on its own reader thread.
 int cmd_serve(const Args& args) {
   svc::ServiceConfig config;
   config.limits.max_sessions =
@@ -285,7 +286,6 @@ int cmd_serve(const Args& args) {
   svc::Service service(config);
   svc::TcpServerConfig tcp;
   tcp.port = static_cast<std::uint16_t>(args.num("port", 7421));
-  tcp.dispatch_threads = static_cast<std::size_t>(args.num("threads", 0));
   svc::TcpServer server(service, tcp);
   std::string error;
   if (!server.start(error)) {
@@ -308,7 +308,7 @@ int cmd_serve(const Args& args) {
 
 /// `rim_cli router --port N --backends host:port[,host:port...]
 ///  [--vnodes V] [--ship-every K] [--health-interval-ms M]
-///  [--exchange-deadline-ms D] [--probe-deadline-ms P] [--threads T]` —
+///  [--exchange-deadline-ms D] [--probe-deadline-ms P]` —
 /// front the listed `serve` backends with the consistent-hash shard tier
 /// (DESIGN.md §14): clients speak the unchanged wire protocol to this
 /// port; sessions are placed on the ring, replicated to their peer shard
@@ -364,7 +364,6 @@ int cmd_router(const Args& args) {
   shard::Router router(std::move(config));
   svc::TcpServerConfig tcp;
   tcp.port = static_cast<std::uint16_t>(args.num("port", 7420));
-  tcp.dispatch_threads = static_cast<std::size_t>(args.num("threads", 0));
   svc::TcpServer server(router, tcp);
   std::string error;
   if (!server.start(error)) {

@@ -10,16 +10,16 @@
 /// Transports (LoopbackTransport, TcpServer) need exactly four operations
 /// from whatever answers the wire protocol:
 ///
-///  - try_admit(): claim one in-flight slot *before* enqueueing dispatch
-///    work (the shed-not-queue contract, DESIGN.md §9). The returned
-///    Ticket releases the slot on destruction.
+///  - try_admit(): claim one in-flight slot *before* handling a request
+///    (the shed-not-queue contract, DESIGN.md §9). The returned Ticket
+///    releases the slot on destruction.
 ///  - handle_admitted(): dispatch a payload whose slot the caller holds.
 ///  - overloaded_response(): the "overloaded" envelope for a refused
 ///    payload (echoes its id when it parses).
 ///  - max_frame_bytes(): the admission cap transports enforce per frame.
 ///
-/// handle() composes admit + dispatch for callers without their own
-/// queueing (the loopback path).
+/// handle() composes admit + dispatch; both transports serve through it,
+/// on the thread that read the frame.
 ///
 /// svc::Frontend (frontend.hpp) is the library's one front door behind
 /// this interface: svc::Service and shard::Router both derive from it and

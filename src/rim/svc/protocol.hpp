@@ -29,8 +29,9 @@
 ///                          "ok": false}
 ///
 /// `id` is an opaque client-chosen correlation number (echoed verbatim;
-/// 0 when absent or unparseable), so a pipelining client can match
-/// responses arriving out of order from the server's dispatch pool.
+/// 0 when absent or unparseable). TcpServer answers the frames of one
+/// connection in order, so a pipelining client may also match by
+/// position.
 /// Every request gets exactly one response — including rejections: the
 /// admission-control path answers with code "overloaded" instead of
 /// queueing (DESIGN.md §9).

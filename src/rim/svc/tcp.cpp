@@ -30,12 +30,17 @@ bool send_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+/// Frame and send one response. A vanished peer is not an error here: the
+/// reader sees the drop on its next recv().
+void send_response(int fd, std::string_view payload) {
+  const std::string frame = encode_frame(payload);
+  (void)send_all(fd, frame.data(), frame.size());
+}
+
 }  // namespace
 
 TcpServer::TcpServer(RequestHandler& handler, TcpServerConfig config)
-    : handler_(handler),
-      config_(config),
-      dispatch_pool_(config.dispatch_threads) {}
+    : handler_(handler), config_(config) {}
 
 TcpServer::~TcpServer() { stop(); }
 
@@ -91,27 +96,16 @@ void TcpServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // 2. Flush responses already dispatched, then unblock every reader.
-  dispatch_pool_.wait_idle();
-  {
-    common::MutexLock lock(connections_mutex_);
-    for (auto& conn : connections_) {
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-    for (auto& conn : connections_) {
-      if (conn->reader.joinable()) conn->reader.join();
-    }
+  // 2. Shut only the read side: an idle reader's recv() returns 0, and a
+  // reader inside the handler still writes that response before it sees
+  // stopping_ and exits. Then join every reader and close.
+  common::MutexLock lock(connections_mutex_);
+  for (auto& conn : connections_) ::shutdown(conn->fd, SHUT_RD);
+  for (auto& conn : connections_) {
+    if (conn->reader.joinable()) conn->reader.join();
+    ::close(conn->fd);
   }
-  // 3. Readers may have dispatched more work before seeing the shutdown;
-  // drain it, after which nothing references the connections.
-  dispatch_pool_.wait_idle();
-  {
-    common::MutexLock lock(connections_mutex_);
-    for (auto& conn : connections_) {
-      if (conn->fd >= 0) ::close(conn->fd);
-    }
-    connections_.clear();
-  }
+  connections_.clear();
 }
 
 void TcpServer::accept_loop() {
@@ -139,62 +133,45 @@ void TcpServer::reader_loop(Connection& conn) {
   std::string chunk(std::size_t{1} << 16, '\0');
   const std::size_t max_frame = handler_.max_frame_bytes();
   bool drop = false;
-  while (!drop) {
+  while (!drop && !stopping_.load(std::memory_order_acquire)) {
     const ssize_t n = ::recv(conn.fd, chunk.data(), chunk.size(), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk.data(), static_cast<std::size_t>(n));
-    while (!drop) {
-      std::size_t consumed = 0;
-      std::string payload;
-      const FrameStatus status =
-          try_decode_frame(buffer, max_frame, consumed, payload);
-      if (status == FrameStatus::kNeedMore) break;
+    // Answer every whole frame read so far, in order; the unanswered
+    // tail stays at the front of the buffer for the next recv().
+    std::string_view unread = buffer;
+    std::size_t size = 0;
+    while (true) {
+      const FrameStatus status = frame_size(unread, max_frame, size);
+      // After stop(), start no further request.
+      if (status == FrameStatus::kNeedMore ||
+          stopping_.load(std::memory_order_acquire)) {
+        break;
+      }
       if (status == FrameStatus::kTooLarge) {
         // The stream offset is unrecoverable past an oversized header:
         // answer once, then drop the connection.
-        send_response(conn,
+        send_response(conn.fd,
                       make_error(0, code::kBadFrame,
                                  "frame exceeds max_frame_bytes (" +
                                      std::to_string(max_frame) + ")"));
         drop = true;
         break;
       }
-      buffer.erase(0, consumed);
-      // Shed-not-queue: claim the admission slot *before* enqueueing. A
-      // refusal is answered inline from this reader; the dispatch queue
-      // only ever holds admitted work.
-      RequestHandler::Ticket ticket = handler_.try_admit();
-      if (!ticket) {
-        send_response(conn, handler_.overloaded_response(payload));
-        continue;
-      }
-      // ThreadPool tasks are copyable std::functions; the move-only
-      // ticket rides in a shared_ptr.
-      auto ticket_ptr =
-          std::make_shared<RequestHandler::Ticket>(std::move(ticket));
-      conn.pending.fetch_add(1, std::memory_order_acq_rel);
-      dispatch_pool_.submit([this, &conn, payload, ticket_ptr] {
-        send_response(conn, handler_.handle_admitted(payload));
-        ticket_ptr->release();
-        // Last touch of conn: reap_connections() frees it only once
-        // done && pending == 0.
-        conn.pending.fetch_sub(1, std::memory_order_acq_rel);
-      });
+      // handle() claims the admission slot first and answers a refusal
+      // "overloaded" at once (shed-not-queue).
+      send_response(conn.fd, handler_.handle(unread.substr(
+                                 kFrameHeaderBytes, size - kFrameHeaderBytes)));
+      unread.remove_prefix(size);
     }
+    buffer.erase(0, buffer.size() - unread.size());
   }
-  // The connection is dead (EOF or protocol drop) but its descriptor is
-  // only closed by reap/stop, which may be far off. Send FIN now so a
-  // peer blocked in recv() observes the drop instead of hanging; any
-  // still-dispatched response just gets EPIPE, which send_all tolerates.
+  // The connection is dead (EOF, protocol drop or stop()) but its
+  // descriptor is only closed by reap/stop, which may be far off. Send FIN
+  // now so a peer blocked in recv() observes the drop instead of hanging.
   ::shutdown(conn.fd, SHUT_RDWR);
   conn.done.store(true, std::memory_order_release);
-}
-
-void TcpServer::send_response(Connection& conn, const std::string& payload) {
-  const std::string frame = encode_frame(payload);
-  common::MutexLock lock(conn.write_mutex);
-  (void)send_all(conn.fd, frame.data(), frame.size());
 }
 
 void TcpServer::reap_connections() {
@@ -202,10 +179,9 @@ void TcpServer::reap_connections() {
   auto it = connections_.begin();
   while (it != connections_.end()) {
     Connection& conn = **it;
-    if (conn.done.load(std::memory_order_acquire) &&
-        conn.pending.load(std::memory_order_acquire) == 0) {
+    if (conn.done.load(std::memory_order_acquire)) {
       if (conn.reader.joinable()) conn.reader.join();
-      if (conn.fd >= 0) ::close(conn.fd);
+      ::close(conn.fd);
       it = connections_.erase(it);
     } else {
       ++it;
@@ -222,6 +198,10 @@ bool TcpClientTransport::connected() const {
 
 void TcpClientTransport::disconnect() {
   common::MutexLock lock(io_mutex_);
+  close_locked();
+}
+
+void TcpClientTransport::close_locked() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -231,10 +211,7 @@ void TcpClientTransport::disconnect() {
 bool TcpClientTransport::connect_to(const std::string& host,
                                     std::uint16_t port, std::string& error) {
   common::MutexLock lock(io_mutex_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  close_locked();
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -286,8 +263,7 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
     error = std::string("send: ") + std::strerror(errno);
     // A failed send is a vanished peer (EPIPE/ECONNRESET) or a blown
     // SO_SNDTIMEO deadline — either way the connection is unusable.
-    ::close(fd_);
-    fd_ = -1;
+    close_locked();
     return TransportStatus::kConnectionLost;
   }
   // Allocated once per transport; later calls reuse it without zeroing.
@@ -304,6 +280,9 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
     if (status == FrameStatus::kTooLarge) {
       error = "response frame exceeds max_response_frame_bytes (" +
               std::to_string(max_response_frame_bytes) + ")";
+      // The rest of the frame is still unread; the stream cannot be
+      // resynchronised, exactly as on the server side.
+      close_locked();
       return TransportStatus::kError;
     }
     const ssize_t n = ::recv(fd_, recv_chunk_.data(), recv_chunk_.size(), 0);
@@ -313,20 +292,17 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
       // the torn-read case the shard router keys failover on — it must
       // not be conflated with a decode error.
       error = "connection closed by server";
-      ::close(fd_);
-      fd_ = -1;
+      close_locked();
       return TransportStatus::kConnectionLost;
     }
     if (n < 0) {
-      const bool deadline = errno == EAGAIN || errno == EWOULDBLOCK;
-      const bool reset = errno == ECONNRESET || errno == ETIMEDOUT;
+      // A deadline or reset is a lost peer; any other error still leaves
+      // the stream mid-frame, so the connection goes either way.
+      const bool lost = errno == EAGAIN || errno == EWOULDBLOCK ||
+                        errno == ECONNRESET || errno == ETIMEDOUT;
       error = std::string("recv: ") + std::strerror(errno);
-      if (deadline || reset) {
-        ::close(fd_);
-        fd_ = -1;
-        return TransportStatus::kConnectionLost;
-      }
-      return TransportStatus::kError;
+      close_locked();
+      return lost ? TransportStatus::kConnectionLost : TransportStatus::kError;
     }
     response_frame.append(recv_chunk_.data(), static_cast<std::size_t>(n));
   }

@@ -9,42 +9,38 @@
 
 #include "rim/common/mutex.hpp"
 #include "rim/common/thread_annotations.hpp"
-#include "rim/parallel/thread_pool.hpp"
 #include "rim/svc/transport.hpp"
 
 /// \file tcp.hpp
 /// POSIX TCP transport for the scenario service.
 ///
 /// TcpServer binds a loopback listener and runs one accept thread plus one
-/// reader thread per connection. Readers deframe requests and claim an
-/// admission ticket *before* submitting the dispatch onto the server's
-/// thread pool; refused requests are answered "overloaded" inline from the
-/// reader, so a saturated service never grows a dispatch backlog
-/// (shed-not-queue, service.hpp). An oversized frame gets a "bad_frame"
-/// response and the connection is dropped — the stream offset is
-/// unrecoverable past a corrupt header.
+/// reader thread per connection. A reader serves its connection inline:
+/// it frame-checks the bytes it has read, hands RequestHandler::handle() a
+/// view of each payload in its own buffer, and writes the response from
+/// the same thread. handle() claims an admission ticket first and answers
+/// a refusal "overloaded" at once, so a saturated service sheds instead of
+/// queueing (shed-not-queue, service.hpp). Frames pipelined on one connection are
+/// answered in order, one response per request frame. A slow request
+/// stalls only its own connection: every other connection has its own
+/// reader. An oversized frame gets a "bad_frame" response and the
+/// connection is dropped — the stream offset is unrecoverable past a
+/// corrupt header.
 ///
 /// The server speaks to any RequestHandler (handler.hpp): a svc::Service
 /// backend or a shard::Router front tier — the wire protocol is identical
 /// either way.
 ///
-/// Responses may be written from dispatch workers concurrently with the
-/// reader answering sheds, so each connection serializes writes with its
-/// own mutex. Dispatch runs on the server's pool; batch execution inside a
-/// handler runs on the Service's distinct batch pool (service.hpp), so a
-/// dispatch worker never wait_idle()s on its own pool.
-///
-/// stop() is idempotent and clean: stop accepting, drain dispatched work,
-/// shut down every connection, join every thread. TcpServer's destructor
-/// calls it.
+/// stop() is idempotent and clean: stop accepting, shut the read side of
+/// every connection so each reader finishes the request it is handling,
+/// writes that response and exits, join every reader, close. TcpServer's
+/// destructor calls it.
 
 namespace rim::svc {
 
 struct TcpServerConfig {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (see port()).
   std::uint16_t port = 0;
-  /// Dispatch pool workers (0 = hardware concurrency).
-  std::size_t dispatch_threads = 0;
 };
 
 class TcpServer {
@@ -62,33 +58,29 @@ class TcpServer {
   /// The bound port (resolves an ephemeral request after start()).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Stop accepting, flush in-flight responses, close every connection,
-  /// join every thread. Safe to call twice.
+  /// Stop accepting, answer the requests being handled, close every
+  /// connection, join every thread. Safe to call twice. Must not be called
+  /// from inside the handler (a reader cannot join itself).
   void stop();
 
  private:
   struct Connection {
     explicit Connection(int socket_fd) : fd(socket_fd) {}
     /// Set once at accept time, before the reader thread exists; const-ness
-    /// is what makes the cross-thread reads (reader, dispatch workers,
-    /// stop()) race-free without a lock.
+    /// is what makes the cross-thread reads (reader, stop()) race-free
+    /// without a lock. Only the reader sends on the socket.
     const int fd;
     std::thread reader;
-    common::Mutex write_mutex;
-    std::atomic<bool> done{false};      ///< reader thread has exited
-    std::atomic<std::size_t> pending{0};///< dispatched-but-unanswered requests
+    std::atomic<bool> done{false};  ///< reader thread has exited
   };
 
   void accept_loop();
   void reader_loop(Connection& conn);
-  /// Frame + send one response on \p conn (serialized per connection).
-  void send_response(Connection& conn, const std::string& payload);
   /// Join and drop connections whose readers have exited.
   void reap_connections() RIM_EXCLUDES(connections_mutex_);
 
   RequestHandler& handler_;
   const TcpServerConfig config_;
-  parallel::ThreadPool dispatch_pool_;
 
   /// Written by start(), read by the accept thread and by stop() (which
   /// shuts the socket down from another thread to unblock ::accept), so
@@ -127,7 +119,10 @@ class TcpClientTransport final : public Transport {
   /// One exchange. kConnectionLost covers every "the peer is gone" shape:
   /// not connected, send/recv reset, EOF mid-frame, and a blown
   /// exchange_deadline_ms (an unresponsive backend is indistinguishable
-  /// from a dead one to the caller's failover logic).
+  /// from a dead one to the caller's failover logic). An oversized
+  /// response and any other recv error are kError, and they close the
+  /// socket too: the rest of the frame is still unread, so the stream
+  /// offset is lost and the next exchange reports kConnectionLost.
   [[nodiscard]] TransportStatus roundtrip(std::string_view frame,
                                           std::string& response_frame,
                                           std::string& error) override;
@@ -151,6 +146,9 @@ class TcpClientTransport final : public Transport {
   int fd_ RIM_GUARDED_BY(io_mutex_) = -1;
   /// recv() target, reused by every exchange.
   std::string recv_chunk_ RIM_GUARDED_BY(io_mutex_);
+
+  /// Close the socket; the next exchange reports kConnectionLost.
+  void close_locked() RIM_REQUIRES(io_mutex_);
 };
 
 }  // namespace rim::svc
