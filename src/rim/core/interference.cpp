@@ -1,12 +1,12 @@
 #include "rim/core/interference.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "rim/core/radii.hpp"
 #include "rim/geom/grid_index.hpp"
 #include "rim/parallel/parallel_for.hpp"
+#include "rim/simd/simd.hpp"
 
 namespace rim::core {
 
@@ -19,38 +19,48 @@ namespace {
 
 /// Counting-side trick: instead of asking for every v "which disks cover
 /// me?", iterate over transmitters u and increment a counter at every node
-/// inside D(u, r_u).
-std::vector<std::uint32_t> eval_grid(std::span<const geom::Vec2> points,
-                                     std::span<const double> radii2) {
-  std::vector<std::uint32_t> covered(points.size(), 0);
-  if (points.empty()) return covered;
-  const geom::GridIndex index(points, pick_cell_size(radii2));
-  for (NodeId u = 0; u < points.size(); ++u) {
-    if (radii2[u] <= 0.0) continue;
-    index.for_each_in_disk_squared(points[u], radii2[u], [&](NodeId v) {
-      if (v != u) ++covered[v];
-    });
+/// inside D(u, r_u). One frozen GridIndex serves every transmitter; the
+/// counters live in its slot order, so each row span of a walk is one
+/// simd::increment_within call over a contiguous run. The transmitters are
+/// cut into \p stripes contiguous slot ranges, each with its own counters
+/// and run by parallel_for on the shared pool when there is more than one;
+/// the integer sums do not depend on the cut.
+std::vector<std::uint32_t> eval_striped(std::span<const geom::Vec2> points,
+                                        std::span<const double> radii2,
+                                        std::size_t stripes) {
+  const std::size_t n = points.size();
+  std::vector<std::uint32_t> covered(n, 0);
+  if (n == 0) return covered;
+  // Cells of twice the median radius: about one point per cell at the
+  // NNF density, fewer rows per walk (measured ~15% faster than the median
+  // radius at 100k nodes).
+  const geom::GridIndex index(points, pick_cell_size(radii2) * 2.0);
+  const double* xs = index.xs().data();
+  const double* ys = index.ys().data();
+  const std::span<const NodeId> ids = index.ids();
+  std::vector<std::vector<std::uint32_t>> by_slot(stripes);
+  const auto count = [&](std::size_t k) {
+    std::vector<std::uint32_t>& mine = by_slot[k];
+    mine.assign(n, 0);
+    for (std::size_t u = k * n / stripes; u < (k + 1) * n / stripes; ++u) {
+      const double r2 = radii2[ids[u]];
+      if (!(r2 > 0.0)) continue;
+      index.for_each_row_span(
+          {xs[u], ys[u]}, r2, [&](std::size_t begin, std::size_t end) {
+            simd::increment_within(xs + begin, ys + begin, end - begin,
+                                   xs[u], ys[u], r2, mine.data() + begin);
+          });
+      --mine[u];  // its own lane: d2 == 0 <= r2
+    }
+  };
+  parallel::parallel_for(0, stripes, count, parallel::ThreadPool::shared(),
+                         /*grain=*/1);
+  for (std::size_t u = 0; u < n; ++u) {
+    std::uint32_t sum = 0;
+    for (const std::vector<std::uint32_t>& mine : by_slot) sum += mine[u];
+    covered[ids[u]] = sum;
   }
   return covered;
-}
-
-std::vector<std::uint32_t> eval_parallel(std::span<const geom::Vec2> points,
-                                         std::span<const double> radii2) {
-  if (points.empty()) return {};
-  std::vector<std::atomic<std::uint32_t>> covered(points.size());
-  const geom::GridIndex index(points, pick_cell_size(radii2));
-  parallel::parallel_for(0, points.size(), [&](std::size_t ui) {
-    const NodeId u = static_cast<NodeId>(ui);
-    if (radii2[u] <= 0.0) return;
-    index.for_each_in_disk_squared(points[u], radii2[u], [&](NodeId v) {
-      if (v != u) covered[v].fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  std::vector<std::uint32_t> out(points.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = covered[i].load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 std::vector<std::uint32_t> eval_brute(std::span<const geom::Vec2> points,
@@ -121,9 +131,10 @@ std::vector<std::uint32_t> interference_vector_squared(
   assert(points.size() == radii2.size());
   switch (options.resolve(points.size())) {
     case Strategy::kGrid:
-      return eval_grid(points, radii2);
+      return eval_striped(points, radii2, 1);
     case Strategy::kParallel:
-      return eval_parallel(points, radii2);
+      return eval_striped(points, radii2,
+                          parallel::ThreadPool::shared().thread_count());
     case Strategy::kBrute:
     case Strategy::kAuto:
       break;

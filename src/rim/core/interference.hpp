@@ -18,9 +18,11 @@
 ///
 /// Three evaluation strategies are provided and cross-checked by tests:
 ///  - Brute:    O(n^2) pairwise oracle.
-///  - Grid:     per-node disk queries on a uniform grid keyed by the median
-///              radius; expected near-linear for bounded-density instances.
-///  - Parallel: Grid partitioned over the shared thread pool.
+///  - Grid:     per-transmitter disk walks over one frozen geom::GridIndex
+///              with cells of twice the median radius; expected
+///              near-linear for bounded-density instances.
+///  - Parallel: Grid with the transmitters cut into one run per thread of
+///              the shared pool, each with its own counters.
 ///
 /// All of them recompute from scratch. For evolving networks (churn, local
 /// search, simulation ticks) prefer core::Scenario (scenario.hpp), the

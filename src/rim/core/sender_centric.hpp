@@ -46,13 +46,16 @@ struct SenderCentricSummary {
 
 /// Strategy-aware evaluation: options.resolve(n) == kBrute runs the O(E*n)
 /// pairwise loops above; kGrid and kParallel run one per-edge kernel over
-/// an immutable GridIndex keyed by the median edge length instead — all of
-/// D(u), plus the points of D(v) that fail D(u)'s test, O(E *
-/// disk-occupancy) total, which is what makes the sender-centric
-/// comparator feasible on million-node deployments (E23). kGrid runs the
-/// edges serially, kParallel with parallel_for on ThreadPool::shared()
-/// (never call it from inside a task of that pool, DESIGN.md §8). Every
-/// path counts the identical exact predicate, so per_edge is the same.
+/// a frozen geom::GridIndex with cells of twice the median edge length
+/// instead — one walk over the row spans of the box around D(u) and D(v),
+/// counting the points either disk's test accepts with the SIMD distance
+/// kernel, O(E * disk-occupancy) total, which is what makes the
+/// sender-centric comparator feasible on million-node deployments (E23).
+/// Edges run in the index's cell order of their first endpoint, so
+/// consecutive walks share cache lines. kGrid runs the edges serially,
+/// kParallel with parallel_for on ThreadPool::shared() (never call it from
+/// inside a task of that pool, DESIGN.md §8). Every path counts the
+/// identical exact predicate, so per_edge is the same.
 [[nodiscard]] SenderCentricSummary evaluate_sender_centric(
     const graph::Graph& topology, std::span<const geom::Vec2> points,
     const EvalOptions& options);

@@ -4,10 +4,9 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "rim/core/radii.hpp"
-#include "rim/geom/dynamic_grid.hpp"
+#include "rim/geom/grid_index.hpp"
 #include "rim/geom/grid_kernels.hpp"
 #include "rim/parallel/parallel_for.hpp"
 #include "rim/simd/simd.hpp"
@@ -137,7 +136,7 @@ SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
   const double* ws = nodes.radii2().data();
   // Cells keyed by the median cutoff radius: the scatter disks are cutoff
   // disks, not transmission disks.
-  const double cell = pick_cell_size(nodes.radii2(), cf);
+  const double cell = pick_cell_size(nodes.radii2(), cf) * 0.5;
   const Stripes cut = cut_stripes(xs, n, stripes);
 
   std::vector<double> power(n, 0.0);
@@ -154,42 +153,42 @@ SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
     const std::span<const NodeId> mine(cut.members.data() + cut.begin[k],
                                        cut.begin[k + 1] - cut.begin[k]);
     if (mine.empty()) return;
-    geom::DynamicGrid grid(cell);
-    grid.reserve(mine.size());
-    double x_lo = std::numeric_limits<double>::infinity();
-    double x_hi = -x_lo;
+    std::vector<double> mine_xs(mine.size());
+    std::vector<double> mine_ys(mine.size());
     for (std::size_t l = 0; l < mine.size(); ++l) {
-      const NodeId v = mine[l];
-      grid.insert(static_cast<NodeId>(l), {xs[v], ys[v]}, ws[v]);
-      x_lo = std::min(x_lo, xs[v]);
-      x_hi = std::max(x_hi, xs[v]);
+      mine_xs[l] = xs[mine[l]];
+      mine_ys[l] = ys[mine[l]];
     }
-    std::vector<double> local_power(mine.size(), 0.0);
-    std::vector<std::uint32_t> local_counts(mine.size(), 0);
+    const auto [x_lo, x_hi] =
+        std::minmax_element(mine_xs.begin(), mine_xs.end());
+    const geom::GridIndex index(mine_xs, mine_ys, cell);
+    // Indexed by the stripe index's slot; written back through its ids.
+    std::vector<double> slot_power(mine.size(), 0.0);
+    std::vector<std::uint32_t> slot_counts(mine.size(), 0);
     for (std::size_t t = 0; t < n; ++t) {
       const double w = ws[t];
       if (!(w > 0.0)) continue;
       const double cutoff2 = w * cf;
-      // The grid's ulp-inflated walk radius: a receiver the kernel accepts
-      // has |x - xs[t]| <= reach, so a disk missing [x_lo, x_hi] by more
-      // than reach reaches no receiver of this stripe.
-      const double reach = std::sqrt(cutoff2) * (1.0 + 4e-16) +
-                           std::numeric_limits<double>::denorm_min();
-      if (x_lo - xs[t] > reach || xs[t] - x_hi > reach) continue;
+      // The index's walk radius: a receiver the kernel accepts has
+      // |x - xs[t]| <= reach, so a disk missing [x_lo, x_hi] by more than
+      // reach reaches no receiver of this stripe.
+      const double reach = geom::walk_radius(cutoff2);
+      if (*x_lo - xs[t] > reach || xs[t] - *x_hi > reach) continue;
       const double p = kappa * simd::detail::ipow(w, h);
       const geom::Vec2 center{xs[t], ys[t]};
       if (use_scalar) {
-        geom::accumulate_path_loss_scalar(grid, center, cutoff2, p, h, sig,
-                                          local_power.data(),
-                                          local_counts.data());
+        geom::accumulate_path_loss_scalar(index, center, cutoff2, p, h, sig,
+                                          slot_power.data(),
+                                          slot_counts.data());
       } else {
-        geom::accumulate_path_loss(grid, center, cutoff2, p, h, sig,
-                                   local_power.data(), local_counts.data());
+        geom::accumulate_path_loss(index, center, cutoff2, p, h, sig,
+                                   slot_power.data(), slot_counts.data());
       }
     }
-    for (std::size_t l = 0; l < mine.size(); ++l) {
-      power[mine[l]] = local_power[l];
-      counts[mine[l]] = local_counts[l];
+    const std::span<const NodeId> local = index.ids();
+    for (std::size_t s = 0; s < mine.size(); ++s) {
+      power[mine[local[s]]] = slot_power[s];
+      counts[mine[local[s]]] = slot_counts[s];
     }
   };
   parallel::parallel_for(0, stripes, scatter, parallel::ThreadPool::shared(),

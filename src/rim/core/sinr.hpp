@@ -74,12 +74,13 @@ class SinrAssessor {
   /// Assess \p nodes (dense ids) under options.sinr. Strategy resolution:
   /// kBrute gathers per receiver over the whole SoA columns (exact O(n^2)
   /// shape of the receiver-centric fast path); kGrid and kParallel scatter
-  /// per transmitter through DynamicGrids keyed by the median cutoff
-  /// radius. The scatter cuts the receivers into x-stripes — one for
-  /// kGrid, one per ThreadPool::shared() thread for kParallel — and each
-  /// stripe walks every transmitter in ascending id order, so every
-  /// receiver sums its contributions in the same order for any stripe
-  /// count and kParallel is bit-identical to kGrid. kParallel runs
+  /// per transmitter. The scatter cuts the receivers into x-stripes — one
+  /// for kGrid, one per ThreadPool::shared() thread for kParallel — and
+  /// builds one frozen geom::GridIndex per stripe (cells of half the
+  /// median cutoff radius); each stripe walks every transmitter in
+  /// ascending id order over its index's row spans, so every receiver
+  /// sums its contributions in the same order for any stripe count and
+  /// kParallel is bit-identical to kGrid. kParallel runs
   /// parallel_for on the shared pool: never call it from inside a task of
   /// that pool (DESIGN.md §8).
   [[nodiscard]] SinrSummary assess(const NodeSoA& nodes,

@@ -152,17 +152,6 @@ void DynamicGrid::relabel(NodeId from, NodeId to) {
   present_[from] = 0;
 }
 
-std::size_t DynamicGrid::for_each_in_disk_squared(
-    Vec2 center, double radius2,
-    const std::function<void(NodeId, Vec2)>& fn) const {
-  return for_each_cell_in_disk(center, radius2, [&](const CellView& cell) {
-    for (std::size_t i = 0; i < cell.count; ++i) {
-      const Vec2 p{cell.xs[i], cell.ys[i]};
-      if (dist2(p, center) <= radius2) fn(cell.ids[i], p);
-    }
-  });
-}
-
 std::size_t DynamicGrid::estimate_in_disk(Vec2 center, double radius) const {
   (void)center;
   if (count_ == 0 || radius < 0.0) return 0;

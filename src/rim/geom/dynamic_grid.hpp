@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -14,13 +13,14 @@
 /// \file dynamic_grid.hpp
 /// Mutable uniform-grid spatial index over an evolving point set.
 ///
-/// The immutable geom::GridIndex is rebuilt from scratch for every
-/// evaluation — fine for one-shot queries, fatal for churn workloads where
-/// a single node arrives, departs, or moves per tick. DynamicGrid keeps the
-/// same cell decomposition in a hash map keyed by cell coordinate, so
-/// points can be inserted, erased, moved, and relabelled in O(1) expected
-/// time while disk queries stay O(cells ∩ disk). It is the persistent index
-/// behind core::Scenario's incremental interference engine.
+/// The frozen geom::GridIndex serves point sets that hold still while a
+/// query pass runs (full evaluations, topology builders); a churn workload
+/// where a single node arrives, departs, or moves per tick would rebuild
+/// it per event. DynamicGrid keeps the same cell decomposition in a hash
+/// map keyed by cell coordinate, so points can be inserted, erased, moved,
+/// and relabelled in O(1) expected time while disk queries stay
+/// O(cells ∩ disk). It is the persistent index behind core::Scenario's
+/// incremental interference engine.
 ///
 /// Storage is structure-of-arrays per cell: each cell holds contiguous
 /// x/y/weight/id columns (the weight is the owner's squared transmission
@@ -112,8 +112,7 @@ class DynamicGrid {
     if (count_ == 0 || radius2 < 0.0) return 0;
     // Same ulp inflation as GridIndex: a point whose exact squared distance
     // equals radius2 must never fall outside the visited cells.
-    const double walk = std::sqrt(radius2) * (1.0 + 4e-16) +
-                        std::numeric_limits<double>::denorm_min();
+    const double walk = walk_radius(radius2);
     const std::int64_t lox = coord(center.x - walk);
     const std::int64_t hix = coord(center.x + walk);
     const std::int64_t loy = coord(center.y - walk);
@@ -150,9 +149,16 @@ class DynamicGrid {
   /// <= radius2 (closed disk, exact squared test — same contract as
   /// GridIndex::for_each_in_disk_squared). Returns the number of grid cells
   /// visited, for the caller's observability counters.
-  std::size_t for_each_in_disk_squared(
-      Vec2 center, double radius2,
-      const std::function<void(NodeId, Vec2)>& fn) const;
+  template <typename Fn>
+  std::size_t for_each_in_disk_squared(Vec2 center, double radius2,
+                                       Fn&& fn) const {
+    return for_each_cell_in_disk(center, radius2, [&](const CellView& cell) {
+      for (std::size_t i = 0; i < cell.count; ++i) {
+        const Vec2 p{cell.xs[i], cell.ys[i]};
+        if (dist2(p, center) <= radius2) fn(cell.ids[i], p);
+      }
+    });
+  }
 
   /// O(1) estimate of how many points a disk query would touch, from the
   /// cell count of the walk rectangle and the average cell occupancy. Used

@@ -8,22 +8,35 @@
 namespace rim::geom {
 
 GridIndex::GridIndex(std::span<const Vec2> points, double cell_size)
-    : points_(points), cell_size_(cell_size) {
+    : cell_size_(cell_size) {
+  build(points.size(), [points](std::size_t i) { return points[i]; });
+}
+
+GridIndex::GridIndex(std::span<const double> xs, std::span<const double> ys,
+                     double cell_size)
+    : cell_size_(cell_size) {
+  assert(xs.size() == ys.size());
+  build(xs.size(), [xs, ys](std::size_t i) { return Vec2{xs[i], ys[i]}; });
+}
+
+template <typename PointAt>
+void GridIndex::build(std::size_t n, PointAt point_at) {
   assert(cell_size_ > 0.0);
-  if (points_.empty()) {
+  assert(n < std::numeric_limits<std::uint32_t>::max());
+  if (n == 0) {
     cell_start_.assign(2, 0);
     return;
   }
-  box_ = bounding_box(points_);
+  box_ = {point_at(0), point_at(0)};
+  for (std::size_t i = 1; i < n; ++i) box_.expand(point_at(i));
   // Cap the grid so adversarially spread inputs (e.g. exponential chains)
   // cannot blow up memory or construction time; a coarser grid is merely
   // slower to query, never wrong. The cap scales with the point count so
   // building the index stays O(n). The fit test runs in double precision to
   // dodge int64 overflow when the requested cell size is absurdly small
   // relative to the extent.
-  const double kMaxCells =
-      std::min(double{1 << 22},
-               std::max(64.0, 16.0 * static_cast<double>(points_.size())));
+  const double kMaxCells = std::min(
+      double{1 << 22}, std::max(64.0, 16.0 * static_cast<double>(n)));
   while (std::max(1.0, std::floor(box_.width() / cell_size_) + 1.0) *
              std::max(1.0, std::floor(box_.height() / cell_size_) + 1.0) >
          kMaxCells) {
@@ -34,72 +47,58 @@ GridIndex::GridIndex(std::span<const Vec2> points, double cell_size)
   ny_ = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::floor(box_.height() / cell_size_)) + 1);
 
-  const std::size_t cells = static_cast<std::size_t>(nx_ * ny_);
-  std::vector<std::uint32_t> counts(cells, 0);
-  for (const Vec2& p : points_) ++counts[cell_of(coord_of(p))];
-
+  // Counting sort by cell. Ids are scattered in ascending order, so each
+  // cell's slots stay sorted by id.
+  const auto cells = static_cast<std::size_t>(nx_ * ny_);
+  std::vector<std::uint32_t> cell_of(n);
   cell_start_.assign(cells + 1, 0);
-  for (std::size_t k = 0; k < cells; ++k) {
-    cell_start_[k + 1] = cell_start_[k] + counts[k];
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec2 p = point_at(i);
+    const auto k =
+        static_cast<std::uint32_t>(clamp_cell(p.y - box_.lo.y, ny_) * nx_ +
+                                   clamp_cell(p.x - box_.lo.x, nx_));
+    cell_of[i] = k;
+    ++cell_start_[k + 1];
   }
-  cell_points_.resize(points_.size());
-  std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
-  for (NodeId id = 0; id < points_.size(); ++id) {
-    cell_points_[cursor[cell_of(coord_of(points_[id]))]++] = id;
+  for (std::size_t k = 0; k < cells; ++k) cell_start_[k + 1] += cell_start_[k];
+  xs_.resize(n);
+  ys_.resize(n);
+  ids_.resize(n);
+  // Scatter with cell_start_[k] as the cursor of cell k; afterwards it holds
+  // the end of cell k, i.e. the start of cell k + 1, so one shift restores
+  // the offsets.
+  for (std::size_t i = 0; i < n; ++i) {
+    ids_[cell_start_[cell_of[i]]++] = static_cast<NodeId>(i);
   }
-}
-
-GridIndex::CellCoord GridIndex::coord_of(Vec2 p) const {
-  const auto cx = static_cast<std::int64_t>(std::floor((p.x - box_.lo.x) / cell_size_));
-  const auto cy = static_cast<std::int64_t>(std::floor((p.y - box_.lo.y) / cell_size_));
-  return {std::clamp<std::int64_t>(cx, 0, nx_ - 1),
-          std::clamp<std::int64_t>(cy, 0, ny_ - 1)};
-}
-
-std::size_t GridIndex::cell_of(CellCoord c) const {
-  return static_cast<std::size_t>(c.cy * nx_ + c.cx);
-}
-
-void GridIndex::for_each_in_disk(Vec2 center, double radius,
-                                 const std::function<void(NodeId)>& fn) const {
-  if (points_.empty() || radius < 0.0) return;
-  const double r2 = radius * radius;
-  const CellCoord lo = coord_of({center.x - radius, center.y - radius});
-  const CellCoord hi = coord_of({center.x + radius, center.y + radius});
-  for (std::int64_t cy = lo.cy; cy <= hi.cy; ++cy) {
-    for (std::int64_t cx = lo.cx; cx <= hi.cx; ++cx) {
-      const std::size_t cell = cell_of({cx, cy});
-      const std::uint32_t begin = cell_start_[cell];
-      const std::uint32_t end = cell_start_[cell + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const NodeId id = cell_points_[i];
-        if (dist2(points_[id], center) <= r2) fn(id);
-      }
-    }
+  std::copy_backward(cell_start_.begin(), cell_start_.end() - 1,
+                     cell_start_.end());
+  cell_start_[0] = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const Vec2 p = point_at(ids_[s]);
+    xs_[s] = p.x;
+    ys_[s] = p.y;
   }
 }
 
-void GridIndex::for_each_in_disk_squared(Vec2 center, double radius2,
-                                         const std::function<void(NodeId)>& fn) const {
-  if (points_.empty() || radius2 < 0.0) return;
-  // Inflate the walk radius by a couple of ulps so a point whose exact
-  // squared distance equals radius2 can never fall outside the visited
-  // cells; the exact dist2 test below rejects false positives.
-  const double walk = std::sqrt(radius2) * (1.0 + 4e-16) +
-                      std::numeric_limits<double>::denorm_min();
-  const CellCoord lo = coord_of({center.x - walk, center.y - walk});
-  const CellCoord hi = coord_of({center.x + walk, center.y + walk});
-  for (std::int64_t cy = lo.cy; cy <= hi.cy; ++cy) {
-    for (std::int64_t cx = lo.cx; cx <= hi.cx; ++cx) {
-      const std::size_t cell = cell_of({cx, cy});
-      const std::uint32_t begin = cell_start_[cell];
-      const std::uint32_t end = cell_start_[cell + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const NodeId id = cell_points_[i];
-        if (dist2(points_[id], center) <= radius2) fn(id);
-      }
-    }
+std::int64_t GridIndex::clamp_cell(double offset, std::int64_t cells) const {
+  const double c = offset / cell_size_;
+  // Written so NaN and infinities clamp too, before any integer cast; on
+  // the non-negative range left the truncating cast is the floor.
+  if (!(c >= 0.0)) return 0;
+  if (c >= static_cast<double>(cells - 1)) return cells - 1;
+  return static_cast<std::int64_t>(c);
+}
+
+GridIndex::Rect GridIndex::cell_rect(const Aabb& box) const {
+  // A box that misses the points' bounding box reaches no point.
+  if (ids_.empty() || box.hi.x < box_.lo.x || box.lo.x > box_.hi.x ||
+      box.hi.y < box_.lo.y || box.lo.y > box_.hi.y) {
+    return {};
   }
+  return {clamp_cell(box.lo.x - box_.lo.x, nx_),
+          clamp_cell(box.hi.x - box_.lo.x, nx_),
+          clamp_cell(box.lo.y - box_.lo.y, ny_),
+          clamp_cell(box.hi.y - box_.lo.y, ny_)};
 }
 
 std::vector<NodeId> GridIndex::query_disk(Vec2 center, double radius) const {
@@ -116,27 +115,36 @@ std::size_t GridIndex::count_in_disk(Vec2 center, double radius) const {
 }
 
 NodeId GridIndex::nearest(Vec2 center, NodeId exclude) const {
-  if (points_.empty()) return kInvalidNode;
+  if (ids_.empty()) return kInvalidNode;
   // Expanding-ring search: try radius = cell, 2*cell, 4*cell, ... and stop
   // as soon as a candidate is found whose distance is certainly minimal
-  // (i.e. the found distance is covered by the searched radius).
-  double radius = cell_size_;
-  const double max_needed =
-      std::hypot(box_.width(), box_.height()) + cell_size_;
-  while (true) {
+  // (the found distance is covered by the searched radius), or once the
+  // walk has spanned the whole grid and so seen every point.
+  for (double radius = cell_size_;; radius *= 2.0) {
+    const double r2 = radius * radius;
     NodeId best = kInvalidNode;
     double best_d2 = std::numeric_limits<double>::infinity();
-    for_each_in_disk(center, radius, [&](NodeId id) {
-      if (id == exclude) return;
-      const double d2 = dist2(points_[id], center);
-      if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-        best_d2 = d2;
-        best = id;
+    const Aabb square = walk_square(center, r2);
+    const Rect r = cell_rect(square);
+    for_each_row_span(square, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        const NodeId id = ids_[s];
+        if (id == exclude) continue;
+        const double d2 = dist2(Vec2{xs_[s], ys_[s]}, center);
+        if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
+          best_d2 = d2;
+          best = id;
+        }
       }
     });
-    if (best != kInvalidNode && best_d2 <= radius * radius) return best;
-    if (radius > max_needed) return best;
-    radius *= 2.0;
+    if (best != kInvalidNode && best_d2 <= r2) return best;
+    const bool whole_grid = r.lo_cx == 0 && r.lo_cy == 0 &&
+                            r.hi_cx == nx_ - 1 && r.hi_cy == ny_ - 1;
+    // An infinite radius that still spans less than the grid comes from a
+    // NaN centre, which no point is near.
+    if (whole_grid || !(r2 < std::numeric_limits<double>::infinity())) {
+      return best;
+    }
   }
 }
 

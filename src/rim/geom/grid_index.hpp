@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -11,41 +10,105 @@
 #include "rim/geom/vec2.hpp"
 
 /// \file grid_index.hpp
-/// Uniform-grid spatial index over a fixed point set.
+/// The frozen uniform-grid index over a static point set.
 ///
-/// This is the workhorse accelerator behind Unit-Disk-Graph construction and
-/// the fast interference evaluator: range queries with radius close to the
-/// cell size touch O(1) cells in expectation for bounded-density inputs.
-/// The structure is immutable after construction (points never move during
-/// an experiment), which keeps queries lock-free and safe to run from many
-/// threads concurrently.
+/// Every evaluator that indexes a point set which does not change while it
+/// runs goes through this one structure: Unit-Disk-Graph, RNG and Gabriel
+/// construction, the receiver-centric and sender-centric full evaluators,
+/// the SINR scatter (one index per receiver stripe) and the points-only
+/// nearest-neighbour forest. core::Scenario's mutable index is
+/// geom::DynamicGrid.
+///
+/// Layout: one counting sort of the point ids by row-major cell into
+/// contiguous structure-of-arrays columns xs() / ys() / ids() (compressed
+/// sparse rows: cell k owns slots [cell_start[k], cell_start[k + 1])).
+/// Within a cell the ids stay in ascending order, so every query visits
+/// its points ordered by (row-major cell, id). Cells are squares of side
+/// cell_size() anchored at the low corner of the points' bounding box;
+/// the grid spans the box, and queries clamp into it.
+///
+/// Queries take templated visitors (no type-erased call per hit). The
+/// lowest layer, for_each_row_span(), hands out one contiguous slot range
+/// per cell row of the walk rectangle, so the simd.hpp kernels run over
+/// long runs of the columns. The index is immutable after construction,
+/// which keeps queries lock-free and safe to run from many threads.
 
 namespace rim::geom {
 
 class GridIndex {
  public:
-  /// Build an index over \p points with square cells of side \p cell_size.
-  /// \p cell_size must be positive. The points are referenced by index;
-  /// the caller keeps ownership and must keep them alive and unmodified.
+  /// Index \p points (ids 0..n-1) with square cells of side \p cell_size,
+  /// which must be positive. The coordinates are copied.
   GridIndex(std::span<const Vec2> points, double cell_size);
+  /// The same index built from coordinate columns (point id i is at
+  /// (xs[i], ys[i])); \p xs and \p ys must have equal length.
+  GridIndex(std::span<const double> xs, std::span<const double> ys,
+            double cell_size);
 
   /// Number of indexed points.
-  [[nodiscard]] std::size_t size() const { return points_.size(); }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
+  /// Cell side in use: the requested size, doubled until the grid holds at
+  /// most max(64, 16 n) cells (capped at 2^22), so spread-out inputs such
+  /// as exponential chains cannot blow up memory or build time.
   [[nodiscard]] double cell_size() const { return cell_size_; }
 
-  /// Invoke \p fn(id) for every point within closed distance \p radius of
-  /// \p center (including a point equal to center, if any).
-  void for_each_in_disk(Vec2 center, double radius,
-                        const std::function<void(NodeId)>& fn) const;
+  /// The cell-sorted columns: slot s holds point ids()[s] at
+  /// (xs()[s], ys()[s]).
+  [[nodiscard]] std::span<const double> xs() const { return xs_; }
+  [[nodiscard]] std::span<const double> ys() const { return ys_; }
+  [[nodiscard]] std::span<const NodeId> ids() const { return ids_; }
 
-  /// Like for_each_in_disk but the containment test is dist2 <= radius2
-  /// exactly (no sqrt roundtrip); the cell walk uses a conservatively
-  /// inflated linear radius so boundary points are never missed.
-  void for_each_in_disk_squared(Vec2 center, double radius2,
-                                const std::function<void(NodeId)>& fn) const;
+  /// Invoke fn(begin, end) for each cell row of the cells meeting the
+  /// closed box \p box, bottom row first: the slots [begin, end) hold that
+  /// row's cells, left to right, so the concatenated ranges are in
+  /// (row-major cell, id) order. Every point inside the box is in the
+  /// ranges; points outside it may be too. Empty rows are skipped.
+  template <typename Fn>
+  void for_each_row_span(const Aabb& box, Fn&& fn) const {
+    const Rect r = cell_rect(box);
+    for (std::int64_t cy = r.lo_cy; cy <= r.hi_cy; ++cy) {
+      const auto row = static_cast<std::size_t>(cy * nx_);
+      const std::uint32_t begin =
+          cell_start_[row + static_cast<std::size_t>(r.lo_cx)];
+      const std::uint32_t end =
+          cell_start_[row + static_cast<std::size_t>(r.hi_cx) + 1];
+      if (begin < end) fn(std::size_t{begin}, std::size_t{end});
+    }
+  }
 
-  /// Ids of all points within closed distance \p radius of \p center.
+  /// The row spans of the closed disk dist2(p, center) <= radius2: those of
+  /// its bounding square at the ulp-inflated geom::walk_radius(), so a
+  /// point whose exact squared distance equals radius2 is never outside
+  /// the ranges. Nothing for a negative or NaN radius2.
+  template <typename Fn>
+  void for_each_row_span(Vec2 center, double radius2, Fn&& fn) const {
+    if (!(radius2 >= 0.0)) return;
+    for_each_row_span(walk_square(center, radius2), fn);
+  }
+
+  /// Invoke fn(id) for every point with dist2(p, center) <= radius2 (closed
+  /// disk, exact squared test), in (row-major cell, id) order.
+  template <typename Fn>
+  void for_each_in_disk_squared(Vec2 center, double radius2, Fn&& fn) const {
+    for_each_row_span(center, radius2, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        if (dist2(Vec2{xs_[s], ys_[s]}, center) <= radius2) fn(ids_[s]);
+      }
+    });
+  }
+
+  /// for_each_in_disk_squared with radius2 = radius * radius: every point
+  /// within closed distance \p radius of \p center (nothing for a negative
+  /// radius).
+  template <typename Fn>
+  void for_each_in_disk(Vec2 center, double radius, Fn&& fn) const {
+    if (radius < 0.0) return;
+    for_each_in_disk_squared(center, radius * radius, fn);
+  }
+
+  /// Ids of all points within closed distance \p radius of \p center, in
+  /// ascending order.
   [[nodiscard]] std::vector<NodeId> query_disk(Vec2 center, double radius) const;
 
   /// Count of points within closed distance \p radius of \p center.
@@ -58,23 +121,36 @@ class GridIndex {
   [[nodiscard]] NodeId nearest(Vec2 center, NodeId exclude = kInvalidNode) const;
 
  private:
-  struct CellCoord {
-    std::int64_t cx;
-    std::int64_t cy;
+  /// Inclusive cell rectangle of a walk; empty when lo > hi.
+  struct Rect {
+    std::int64_t lo_cx = 0;
+    std::int64_t hi_cx = -1;
+    std::int64_t lo_cy = 0;
+    std::int64_t hi_cy = -1;
   };
 
-  [[nodiscard]] CellCoord coord_of(Vec2 p) const;
-  [[nodiscard]] std::size_t cell_of(CellCoord c) const;  // clamped linear index
+  template <typename PointAt>
+  void build(std::size_t n, PointAt point_at);
+  /// The closed square of side 2 * walk_radius(radius2) around \p center.
+  [[nodiscard]] static Aabb walk_square(Vec2 center, double radius2) {
+    const double walk = walk_radius(radius2);
+    return {{center.x - walk, center.y - walk},
+            {center.x + walk, center.y + walk}};
+  }
+  [[nodiscard]] std::int64_t clamp_cell(double offset,
+                                        std::int64_t cells) const;
+  [[nodiscard]] Rect cell_rect(const Aabb& box) const;
 
-  std::span<const Vec2> points_;
   double cell_size_;
   Aabb box_{};
   std::int64_t nx_ = 1;  // number of cells along x
   std::int64_t ny_ = 1;  // number of cells along y
-  // CSR layout: ids of points in cell k are cell_points_[cell_start_[k] ..
-  // cell_start_[k+1]).
+  // Points of cell k (k = cy * nx + cx) sit in slots
+  // [cell_start_[k], cell_start_[k + 1]) of the three columns.
   std::vector<std::uint32_t> cell_start_;
-  std::vector<NodeId> cell_points_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::vector<NodeId> ids_;
 };
 
 }  // namespace rim::geom

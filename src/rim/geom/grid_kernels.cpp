@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "rim/geom/dynamic_grid.hpp"
+#include "rim/geom/grid_index.hpp"
 #include "rim/simd/simd.hpp"
 
 namespace rim::geom {
@@ -122,55 +124,57 @@ DeltaResult apply_disk_delta_scalar(const DynamicGrid& grid, Vec2 center,
 
 namespace {
 
-template <typename ScatterKernel>
-std::size_t accumulate_path_loss_impl(const DynamicGrid& grid, Vec2 center,
-                                      double cutoff2, double power,
-                                      int half_alpha, double sig,
-                                      double* power_out,
-                                      std::uint32_t* significant,
-                                      ScatterKernel&& scatter) {
-  if (cutoff2 <= 0.0 || power <= 0.0) return 0;
+template <typename ScatterKernel, typename FoldKernel>
+void accumulate_path_loss_impl(const GridIndex& index, Vec2 center,
+                               double cutoff2, double power, int half_alpha,
+                               double sig, double* power_out,
+                               std::uint32_t* significant,
+                               ScatterKernel&& scatter, FoldKernel&& fold) {
+  if (cutoff2 <= 0.0 || power <= 0.0) return;
+  const double* xs = index.xs().data();
+  const double* ys = index.ys().data();
   double contrib[kChunk];
-  return grid.for_each_cell_in_disk(
-      center, cutoff2, [&](const DynamicGrid::CellView& cell) {
-        for (std::size_t base = 0; base < cell.count; base += kChunk) {
-          const std::size_t m = std::min(kChunk, cell.count - base);
-          scatter(cell.xs + base, cell.ys + base, m, center.x, center.y,
-                  cutoff2, power, half_alpha, contrib);
-          for (std::size_t k = 0; k < m; ++k) {
-            if (contrib[k] == 0.0) continue;  // ineligible lane
-            const NodeId v = cell.ids[base + k];
-            power_out[v] += contrib[k];
-            if (contrib[k] >= sig) ++significant[v];
-          }
-        }
-      });
+  index.for_each_row_span(center, cutoff2, [&](std::size_t begin,
+                                               std::size_t end) {
+    for (std::size_t base = begin; base < end; base += kChunk) {
+      const std::size_t m = std::min(kChunk, end - base);
+      scatter(xs + base, ys + base, m, center.x, center.y, cutoff2, power,
+              half_alpha, contrib);
+      fold(contrib, m, sig, power_out + base, significant + base);
+    }
+  });
 }
 
 }  // namespace
 
-std::size_t accumulate_path_loss(const DynamicGrid& grid, Vec2 center,
-                                 double cutoff2, double power, int half_alpha,
-                                 double sig, double* power_out,
-                                 std::uint32_t* significant) {
-  return accumulate_path_loss_impl(
-      grid, center, cutoff2, power, half_alpha, sig, power_out, significant,
+void accumulate_path_loss(const GridIndex& index, Vec2 center, double cutoff2,
+                          double power, int half_alpha, double sig,
+                          double* power_out, std::uint32_t* significant) {
+  accumulate_path_loss_impl(
+      index, center, cutoff2, power, half_alpha, sig, power_out, significant,
       [](const double* xs, const double* ys, std::size_t n, double cx,
          double cy, double c2, double p, int h, double* out) {
         simd::sinr_scatter(xs, ys, n, cx, cy, c2, p, h, out);
+      },
+      [](const double* contrib, std::size_t n, double s, double* pw,
+         std::uint32_t* sig_out) {
+        simd::sinr_fold(contrib, n, s, pw, sig_out);
       });
 }
 
-std::size_t accumulate_path_loss_scalar(const DynamicGrid& grid, Vec2 center,
-                                        double cutoff2, double power,
-                                        int half_alpha, double sig,
-                                        double* power_out,
-                                        std::uint32_t* significant) {
-  return accumulate_path_loss_impl(
-      grid, center, cutoff2, power, half_alpha, sig, power_out, significant,
+void accumulate_path_loss_scalar(const GridIndex& index, Vec2 center,
+                                 double cutoff2, double power, int half_alpha,
+                                 double sig, double* power_out,
+                                 std::uint32_t* significant) {
+  accumulate_path_loss_impl(
+      index, center, cutoff2, power, half_alpha, sig, power_out, significant,
       [](const double* xs, const double* ys, std::size_t n, double cx,
          double cy, double c2, double p, int h, double* out) {
         simd::sinr_scatter_scalar(xs, ys, n, cx, cy, c2, p, h, out);
+      },
+      [](const double* contrib, std::size_t n, double s, double* pw,
+         std::uint32_t* sig_out) {
+        simd::sinr_fold_scalar(contrib, n, s, pw, sig_out);
       });
 }
 

@@ -3,11 +3,10 @@
 #include <cstdint>
 
 #include "rim/common/types.hpp"
-#include "rim/geom/dynamic_grid.hpp"
 #include "rim/geom/vec2.hpp"
 
 /// \file grid_kernels.hpp
-/// The vectorised disk-coverage kernels of the incremental engine.
+/// The vectorised disk kernels over the two grids' SoA columns.
 ///
 /// core::Scenario's incremental hot loops are two shapes of the same exact
 /// containment test over DynamicGrid cells:
@@ -17,18 +16,21 @@
 ///  - apply_disk_delta: the ±1 symmetric-difference update when one
 ///    transmitter's disk changes (the paper's robustness property).
 ///
-/// accumulate_path_loss is the SINR model's transmitter-centric scatter.
-/// Full receiver-centric evaluations do not use these kernels; they go
-/// through core::interference_vector_squared.
+/// accumulate_path_loss is the SINR model's transmitter-centric scatter,
+/// run over the row spans of a frozen GridIndex. Full receiver-centric
+/// evaluations do not use these kernels; they go through
+/// core::interference_vector_squared.
 ///
-/// Each runs the simd.hpp kernels over the grid's per-cell SoA columns and
-/// has a `_scalar` twin built from the scalar reference kernels; the twins
-/// are bit-identical (integer counts of exact predicates — see
-/// tests/simd_test.cpp) and the scalar forms double as documentation of
-/// the semantics, which are exactly those of the former std::function
-/// loops over for_each_in_disk_squared().
+/// Each runs the simd.hpp kernels over SoA columns and has a `_scalar`
+/// twin built from the scalar reference kernels; the twins are
+/// bit-identical (integer counts of exact predicates, and per-lane
+/// IEEE-exact path-loss terms — see tests/simd_test.cpp) and the scalar
+/// forms double as documentation of the semantics.
 
 namespace rim::geom {
+
+class DynamicGrid;
+class GridIndex;
 
 /// Result of one receiver-centric coverage count.
 struct CoverageResult {
@@ -74,29 +76,28 @@ DeltaResult apply_disk_delta_scalar(const DynamicGrid& grid, Vec2 center,
 /// Transmitter-centric SINR scatter (DESIGN.md §12): one transmitter at
 /// \p center with precomputed emitted power \p power (= kappa * r2^h) and
 /// far-field cutoff \p cutoff2 (= r2 * cutoff_factor) adds, for every
-/// registered point v with 0 < d2 <= cutoff2,
+/// indexed point in slot s with 0 < d2 <= cutoff2,
 ///
-///   power_out[v] += power / d2^half_alpha
+///   power_out[s] += power / d2^half_alpha
 ///
-/// and increments significant[v] when that contribution is >= \p sig. The
+/// and increments significant[s] when that contribution is >= \p sig.
+/// Both outputs are indexed by the index's slot (GridIndex::ids() maps a
+/// slot to its point id), so each row span writes a contiguous run. The
 /// d2 > 0 test excludes the transmitter's own lane (and coincident nodes,
 /// the kernel-layer convention of simd::sinr_scatter_scalar), so no
-/// exclude id is needed. Each node occupies exactly one grid lane, so one
-/// call touches each receiver at most once and the caller fixes the add
-/// order into every power_out[v] by the order of its calls. The SINR
-/// assessor calls it in ascending transmitter id over one grid per
-/// receiver stripe, with stripes on different threads writing disjoint
-/// columns — the same per-receiver order for any stripe count. Returns
-/// cells visited.
-std::size_t accumulate_path_loss(const DynamicGrid& grid, Vec2 center,
+/// exclude id is needed. Each point occupies exactly one slot, so one call
+/// touches each receiver at most once and the caller fixes the add order
+/// into every power_out[s] by the order of its calls. The SINR assessor
+/// calls it in ascending transmitter id over one index per receiver
+/// stripe, with stripes on different threads writing disjoint columns —
+/// the same per-receiver order for any stripe count.
+void accumulate_path_loss(const GridIndex& index, Vec2 center, double cutoff2,
+                          double power, int half_alpha, double sig,
+                          double* power_out, std::uint32_t* significant);
+/// Scalar reference twin of accumulate_path_loss (bit-identical).
+void accumulate_path_loss_scalar(const GridIndex& index, Vec2 center,
                                  double cutoff2, double power, int half_alpha,
                                  double sig, double* power_out,
                                  std::uint32_t* significant);
-/// Scalar reference twin of accumulate_path_loss (bit-identical).
-std::size_t accumulate_path_loss_scalar(const DynamicGrid& grid, Vec2 center,
-                                        double cutoff2, double power,
-                                        int half_alpha, double sig,
-                                        double* power_out,
-                                        std::uint32_t* significant);
 
 }  // namespace rim::geom

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <compare>
+#include <limits>
 #include <vector>
 
 /// \file vec2.hpp
@@ -49,6 +50,15 @@ struct Vec2 {
 
 /// Euclidean distance between two points.
 [[nodiscard]] inline double dist(Vec2 a, Vec2 b) { return std::sqrt(dist2(a, b)); }
+
+/// The linear walk radius of a closed squared-radius query dist2 <= radius2:
+/// sqrt(radius2) inflated by a few ulps, so a point whose exact squared
+/// distance equals radius2 lies within it along each axis. Both grids walk
+/// this radius, and the SINR stripes cull whole queries by it.
+[[nodiscard]] inline double walk_radius(double radius2) {
+  return std::sqrt(radius2) * (1.0 + 4e-16) +
+         std::numeric_limits<double>::denorm_min();
+}
 
 /// Midpoint of the segment ab.
 [[nodiscard]] constexpr Vec2 midpoint(Vec2 a, Vec2 b) { return (a + b) * 0.5; }

@@ -18,7 +18,8 @@
 /// The receiver-centric model is built entirely from one predicate — the
 /// exact closed-disk containment test `d2 <= r2` with
 /// `d2 = dx*dx + dy*dy` evaluated in double precision — over
-/// structure-of-arrays columns (geom::DynamicGrid cells, core::NodeSoA).
+/// structure-of-arrays columns (geom::DynamicGrid cells, the row spans
+/// of a frozen geom::GridIndex, core::NodeSoA).
 /// That predicate vectorises losslessly: each lane computes the identical
 /// two multiplies and one add in round-to-nearest double, the comparison
 /// is exact, and the counts are integers, so the SIMD kernels are
@@ -148,6 +149,23 @@ squared_distances_scalar(const double* xs, const double* ys, std::size_t n,
   }
 }
 
+/// Scalar reference for increment_within: counts[i] += (d2(i) <= r2) — the
+/// receiver-centric containment test of one transmitter's disk, marked per
+/// lane (the scatter form of count_coverage).
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("fp-contract=off")))
+#endif
+inline void
+increment_within_scalar(const double* xs, const double* ys, std::size_t n,
+                        double cx, double cy, double r2,
+                        std::uint32_t* counts) {
+  RIM_SIMD_NO_CONTRACT
+  for (std::size_t i = 0; i < n; ++i) {
+    counts[i] += static_cast<std::uint32_t>(
+        detail::squared_distance(xs[i], ys[i], cx, cy) <= r2);
+  }
+}
+
 /// Scalar reference for the SINR *gather* kernel: accumulate, at receiver
 /// (cx, cy), the path-loss contributions of the transmitters in the SoA
 /// columns. Lane i (position xs[i], ys[i], squared radius ws[i]) is
@@ -228,6 +246,28 @@ sinr_scatter_scalar(const double* xs, const double* ys, std::size_t n,
   }
 }
 
+/// Scalar reference for the SINR scatter *fold*: add one transmitter's
+/// per-lane contributions (sinr_scatter's out column) into per-receiver
+/// running sums,
+///
+///   power[i] += contrib[i];
+///   significant[i] += (contrib[i] != 0 && contrib[i] >= sig);
+///
+/// An ineligible lane holds +0.0; adding it leaves a running sum that
+/// started at +0.0 bit-identical, so folding every lane equals folding the
+/// eligible ones. Each lane is one IEEE add, so every backend is
+/// bit-identical to this loop.
+inline void sinr_fold_scalar(const double* contrib, std::size_t n, double sig,
+                             double* power, std::uint32_t* significant) {
+  for (std::size_t i = 0; i < n; ++i) {
+    power[i] += contrib[i];
+    // RIM_LINT_ALLOW(float-equality): +0.0 is the exact value the scatter
+    // kernels store for an ineligible lane.
+    significant[i] += static_cast<std::uint32_t>(contrib[i] != 0.0) &
+                      static_cast<std::uint32_t>(contrib[i] >= sig);
+  }
+}
+
 #if defined(RIM_SIMD_SSE2)
 
 inline CoverageCounts count_coverage(const double* xs, const double* ys,
@@ -271,6 +311,25 @@ inline void squared_distances(const double* xs, const double* ys,
                   _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
   }
   squared_distances_scalar(xs + i, ys + i, n - i, cx, cy, out + i);
+}
+
+inline void increment_within(const double* xs, const double* ys,
+                             std::size_t n, double cx, double cy, double r2,
+                             std::uint32_t* counts) {
+  const __m128d vcx = _mm_set1_pd(cx);
+  const __m128d vcy = _mm_set1_pd(cy);
+  const __m128d vr2 = _mm_set1_pd(r2);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d dx = _mm_sub_pd(_mm_loadu_pd(xs + i), vcx);
+    const __m128d dy = _mm_sub_pd(_mm_loadu_pd(ys + i), vcy);
+    const __m128d d2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+    const auto mask =
+        static_cast<unsigned>(_mm_movemask_pd(_mm_cmple_pd(d2, vr2)));
+    counts[i] += mask & 1U;
+    counts[i + 1] += mask >> 1;
+  }
+  increment_within_scalar(xs + i, ys + i, n - i, cx, cy, r2, counts + i);
 }
 
 namespace detail {
@@ -353,6 +412,22 @@ inline void sinr_scatter(const double* xs, const double* ys, std::size_t n,
   }
   sinr_scatter_scalar(xs + i, ys + i, n - i, cx, cy, cutoff2, power,
                       half_alpha, out + i);
+}
+
+inline void sinr_fold(const double* contrib, std::size_t n, double sig,
+                      double* power, std::uint32_t* significant) {
+  const __m128d vsig = _mm_set1_pd(sig);
+  const __m128d vzero = _mm_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d c = _mm_loadu_pd(contrib + i);
+    _mm_storeu_pd(power + i, _mm_add_pd(_mm_loadu_pd(power + i), c));
+    const auto mask = static_cast<unsigned>(_mm_movemask_pd(
+        _mm_and_pd(_mm_cmpneq_pd(c, vzero), _mm_cmpge_pd(c, vsig))));
+    significant[i] += mask & 1U;
+    significant[i + 1] += mask >> 1;
+  }
+  sinr_fold_scalar(contrib + i, n - i, sig, power + i, significant + i);
 }
 
 #elif defined(RIM_SIMD_NEON)
@@ -485,6 +560,44 @@ inline void sinr_scatter(const double* xs, const double* ys, std::size_t n,
                       half_alpha, out + i);
 }
 
+inline void increment_within(const double* xs, const double* ys,
+                             std::size_t n, double cx, double cy, double r2,
+                             std::uint32_t* counts) {
+  const float64x2_t vcx = vdupq_n_f64(cx);
+  const float64x2_t vcy = vdupq_n_f64(cy);
+  const float64x2_t vr2 = vdupq_n_f64(r2);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t dx = vsubq_f64(vld1q_f64(xs + i), vcx);
+    const float64x2_t dy = vsubq_f64(vld1q_f64(ys + i), vcy);
+    const float64x2_t d2 = vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy));
+    const uint64x2_t in = vcleq_f64(d2, vr2);
+    counts[i] += static_cast<std::uint32_t>(vgetq_lane_u64(in, 0) & 1);
+    counts[i + 1] += static_cast<std::uint32_t>(vgetq_lane_u64(in, 1) & 1);
+  }
+  increment_within_scalar(xs + i, ys + i, n - i, cx, cy, r2, counts + i);
+}
+
+inline void sinr_fold(const double* contrib, std::size_t n, double sig,
+                      double* power, std::uint32_t* significant) {
+  const float64x2_t vsig = vdupq_n_f64(sig);
+  const float64x2_t vzero = vdupq_n_f64(0.0);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t c = vld1q_f64(contrib + i);
+    vst1q_f64(power + i, vaddq_f64(vld1q_f64(power + i), c));
+    // c != 0 is the complement of c == 0 (true for NaN, as in the scalar
+    // reference); c >= sig is false for NaN.
+    const uint64x2_t sigm = vandq_u64(
+        veorq_u64(vceqq_f64(c, vzero), vdupq_n_u64(~std::uint64_t{0})),
+        vcgeq_f64(c, vsig));
+    significant[i] += static_cast<std::uint32_t>(vgetq_lane_u64(sigm, 0) & 1);
+    significant[i + 1] +=
+        static_cast<std::uint32_t>(vgetq_lane_u64(sigm, 1) & 1);
+  }
+  sinr_fold_scalar(contrib + i, n - i, sig, power + i, significant + i);
+}
+
 #else  // scalar backend
 
 inline CoverageCounts count_coverage(const double* xs, const double* ys,
@@ -511,6 +624,17 @@ inline void sinr_scatter(const double* xs, const double* ys, std::size_t n,
                          double cx, double cy, double cutoff2, double power,
                          int half_alpha, double* out) {
   sinr_scatter_scalar(xs, ys, n, cx, cy, cutoff2, power, half_alpha, out);
+}
+
+inline void increment_within(const double* xs, const double* ys,
+                             std::size_t n, double cx, double cy, double r2,
+                             std::uint32_t* counts) {
+  increment_within_scalar(xs, ys, n, cx, cy, r2, counts);
+}
+
+inline void sinr_fold(const double* contrib, std::size_t n, double sig,
+                      double* power, std::uint32_t* significant) {
+  sinr_fold_scalar(contrib, n, sig, power, significant);
 }
 
 #endif

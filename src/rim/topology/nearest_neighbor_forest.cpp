@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
-#include "rim/geom/dynamic_grid.hpp"
+#include "rim/geom/aabb.hpp"
+#include "rim/geom/grid_index.hpp"
 
 namespace rim::topology {
 
@@ -30,26 +32,27 @@ graph::Graph nearest_neighbor_forest(std::span<const geom::Vec2> points) {
   graph::Graph out(points.size());
   if (points.size() < 2) return out;
 
-  // Cell size targeting ~1 point per cell: expanding-ring nearest() then
-  // terminates after O(1) rings for anything near-uniform.
-  double lo_x = points[0].x, hi_x = points[0].x;
-  double lo_y = points[0].y, hi_y = points[0].y;
-  for (const geom::Vec2 p : points) {
-    lo_x = std::min(lo_x, p.x);
-    hi_x = std::max(hi_x, p.x);
-    lo_y = std::min(lo_y, p.y);
-    hi_y = std::max(hi_y, p.y);
-  }
-  const double extent = std::max(hi_x - lo_x, hi_y - lo_y);
+  // Cell size targeting ~2 points per cell: expanding-ring nearest() then
+  // terminates after O(1) rings for anything near-uniform, mostly the
+  // first (measured ~10% faster than ~1 point per cell at 100k nodes).
+  const geom::Aabb box = geom::bounding_box(points);
+  const double extent = std::max(box.width(), box.height());
   const double cell = std::max(
-      extent / std::sqrt(static_cast<double>(points.size())), 1e-12);
+      1.5 * extent / std::sqrt(static_cast<double>(points.size())), 1e-12);
+  const geom::GridIndex index(points, cell);
 
-  geom::DynamicGrid grid(cell);
-  grid.reserve(points.size());
-  for (NodeId u = 0; u < points.size(); ++u) grid.insert(u, points[u], 0.0);
+  // Queries run in slot (cell) order, so consecutive walks share cells;
+  // the links are then added in ascending node order, which fixes the
+  // adjacency lists.
+  std::vector<NodeId> nearest(points.size(), kInvalidNode);
+  const std::span<const double> xs = index.xs();
+  const std::span<const double> ys = index.ys();
+  const std::span<const NodeId> ids = index.ids();
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    nearest[ids[s]] = index.nearest({xs[s], ys[s]}, ids[s]);
+  }
   for (NodeId u = 0; u < points.size(); ++u) {
-    const NodeId best = grid.nearest(points[u], u);
-    if (best != kInvalidNode) out.add_edge(u, best);
+    if (nearest[u] != kInvalidNode) out.add_edge(u, nearest[u]);
   }
   return out;
 }

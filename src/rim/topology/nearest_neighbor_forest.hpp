@@ -24,10 +24,12 @@ namespace rim::topology {
     std::span<const geom::Vec2> points, const graph::Graph& udg);
 
 /// Unrestricted NNF: every node links to its globally nearest other node
-/// (ties toward the smaller id, matching the UDG form and
-/// geom::DynamicGrid::nearest). Found per node by expanding-ring grid
-/// search instead of scanning a neighbor list, so million-node deployments
-/// (E23) skip the O(n^2)-edge UDG build entirely.
+/// (ties toward the smaller id, matching the UDG form). Found per node by
+/// geom::GridIndex::nearest, an expanding-ring search over one frozen
+/// cell-sorted index, instead of scanning a neighbor list, so million-node
+/// deployments (E23) skip the O(n^2)-edge UDG build entirely. Equals the
+/// UDG form for any UDG radius at least the largest nearest-neighbour
+/// distance, adjacency order included.
 [[nodiscard]] graph::Graph nearest_neighbor_forest(
     std::span<const geom::Vec2> points);
 

@@ -140,6 +140,79 @@ TEST(Simd, SquaredDistancesBitIdenticalToScalar) {
                            vec_out.size() * sizeof(double)));
 }
 
+TEST(Simd, IncrementWithinMatchesScalarIncludingBoundaryLanes) {
+  const Columns c = random_columns(513, 9);  // odd n => scalar tail
+  const double cx = 0.25;
+  const double cy = -1.0;
+  for (const std::size_t pick : {0u, 1u, 100u, 511u, 512u}) {
+    // A radius exactly at one lane's d2 (closed test: counted), and the
+    // next representable value below it (not counted).
+    const double exact = simd::detail::squared_distance(c.xs[pick], c.ys[pick],
+                                                        cx, cy);
+    for (const double r2 : {exact, std::nextafter(exact, 0.0), 2.0, 0.0}) {
+      std::vector<std::uint32_t> vec(c.xs.size(), 7);
+      std::vector<std::uint32_t> ref(c.xs.size(), 7);
+      simd::increment_within(c.xs.data(), c.ys.data(), c.xs.size(), cx, cy,
+                             r2, vec.data());
+      simd::increment_within_scalar(c.xs.data(), c.ys.data(), c.xs.size(), cx,
+                                    cy, r2, ref.data());
+      EXPECT_EQ(vec, ref) << "r2 " << r2;
+      EXPECT_EQ(ref[pick], r2 == exact ? 8u : 7u);
+    }
+  }
+}
+
+TEST(Simd, SinrFoldBitIdenticalToScalar) {
+  sim::Rng rng(15);
+  const std::size_t n = 301;
+  std::vector<double> contrib(n);
+  std::vector<bool> ineligible(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double coin = rng.next_double();
+    ineligible[i] = coin < 0.3;
+    // Ineligible lanes (+0.0), ordinary terms, terms exactly at the
+    // significance threshold, and the overflow/NaN lanes of the kernels.
+    contrib[i] = coin < 0.3   ? 0.0
+                 : coin < 0.4 ? 1e-3
+                 : coin < 0.45 ? std::numeric_limits<double>::infinity()
+                 : coin < 0.48 ? std::numeric_limits<double>::quiet_NaN()
+                               : rng.uniform(0.0, 2e-3);
+  }
+  std::vector<double> vec_power(n, 0.0);
+  std::vector<double> ref_power(n, 0.0);
+  std::vector<std::uint32_t> vec_sig(n, 0);
+  std::vector<std::uint32_t> ref_sig(n, 0);
+  for (int round = 0; round < 3; ++round) {
+    simd::sinr_fold(contrib.data(), n, 1e-3, vec_power.data(), vec_sig.data());
+    simd::sinr_fold_scalar(contrib.data(), n, 1e-3, ref_power.data(),
+                           ref_sig.data());
+  }
+  EXPECT_EQ(0, std::memcmp(vec_power.data(), ref_power.data(),
+                           n * sizeof(double)));
+  EXPECT_EQ(vec_sig, ref_sig);
+  for (std::size_t i = 0; i < n; ++i) {
+    // +0.0 lanes leave the +0.0 start untouched, bit for bit.
+    if (ineligible[i]) {
+      EXPECT_EQ(std::fpclassify(ref_power[i]), FP_ZERO);
+      EXPECT_FALSE(std::signbit(ref_power[i]));
+      EXPECT_EQ(ref_sig[i], 0u);
+    }
+  }
+  // sig <= 0 still counts only nonzero lanes.
+  std::vector<double> scratch(n, 0.0);
+  std::vector<std::uint32_t> vec_all(n, 0);
+  std::vector<std::uint32_t> ref_all(n, 0);
+  simd::sinr_fold(contrib.data(), n, 0.0, scratch.data(), vec_all.data());
+  simd::sinr_fold_scalar(contrib.data(), n, 0.0, scratch.data(),
+                         ref_all.data());
+  EXPECT_EQ(vec_all, ref_all);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ineligible[i]) {
+      EXPECT_EQ(ref_all[i], 0u);
+    }
+  }
+}
+
 TEST(GridKernels, CountCoveringMatchesScalarTwin) {
   sim::Rng rng(11);
   DynamicGrid grid(0.7);

@@ -13,6 +13,7 @@
 #include "rim/core/node_soa.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/graph/graph.hpp"
+#include "rim/highway/highway_instance.hpp"
 #include "rim/sim/random_deployment.hpp"
 #include "rim/sim/rng.hpp"
 #include "rim/simd/simd.hpp"
@@ -222,6 +223,54 @@ TEST(SinrAssessor, StripedScatterBitIdenticalWithFewerNodesThanStripes) {
     }
     expect_stripe_invariant(random_store(points, 27 + n));
   }
+}
+
+// --- Inputs that make the stripe index double its cell (kMaxCells). ---
+
+/// The scatter on an index whose cell the cap has coarsened: stripe/twin
+/// bit-identity, and significant counts equal to the kBrute gather's.
+void expect_capped_grid_exact(const NodeSoA& nodes) {
+  expect_stripe_invariant(nodes);
+  const SinrAssessor assessor;
+  const SinrSummary brute =
+      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kBrute));
+  const SinrSummary grid =
+      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kGrid));
+  EXPECT_EQ(brute.per_node, grid.per_node);
+  for (const std::size_t stripes : {1u, 2u, 3u, 8u}) {
+    EXPECT_EQ(brute.per_node, rim::core::detail::scatter_striped(
+                                  nodes, SinrOptions{}, stripes, false)
+                                  .per_node)
+        << "stripes " << stripes;
+  }
+}
+
+TEST(SinrAssessor, CappedGridExactOnExponentialChain) {
+  // The Fig. 7 chain: gaps 2^0 .. 2^(n-2) in [0, 1]. With NNF radii the
+  // median cutoff radius is far below the span / (16 n) a capped grid
+  // allows, so every stripe index over the chain's wide end doubles its
+  // cell. Independent radii put the whole chain in one cell instead.
+  const rim::geom::PointSet points =
+      rim::highway::exponential_chain(48).to_points();
+  const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
+  expect_capped_grid_exact(store_of(
+      points, rim::core::transmission_radii_squared(forest, points)));
+  expect_capped_grid_exact(random_store(points, 31));
+}
+
+TEST(SinrAssessor, CappedGridExactOnTwoFarApartClusters) {
+  // Two clusters 10^6 apart: a stripe index holding both (every one under
+  // kGrid) is mostly empty box, and its capped cell spans a whole cluster.
+  rim::sim::Rng rng(33);
+  rim::geom::PointSet points;
+  for (int i = 0; i < 90; ++i) {
+    const double ox = i % 2 == 0 ? 0.0 : 1e6;
+    points.push_back({ox + rng.uniform(0.0, 3.0), ox + rng.uniform(0.0, 3.0)});
+  }
+  const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
+  expect_capped_grid_exact(store_of(
+      points, rim::core::transmission_radii_squared(forest, points)));
+  expect_capped_grid_exact(random_store(points, 34));
 }
 
 // --- Model plumbing through the Assessor facade. ---

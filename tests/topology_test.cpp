@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -74,6 +75,96 @@ TEST(Nnf, MutualNearestPairProducesOneEdge) {
   const graph::Graph udg = graph::build_udg(points, 1.0);
   const graph::Graph nnf = nearest_neighbor_forest(points, udg);
   EXPECT_EQ(nnf.edge_count(), 1u);
+}
+
+// --- Points-only NNF identity: the grid form equals the UDG form and
+// brute force, edge list and adjacency order included. ---
+
+/// Brute-force NNF: every node links to its nearest other node (ties toward
+/// the smaller id), links added in ascending node order.
+graph::Graph brute_nnf(const geom::PointSet& points) {
+  graph::Graph out(points.size());
+  for (NodeId u = 0; u < points.size(); ++u) {
+    NodeId best = kInvalidNode;
+    double best_d2 = std::numeric_limits<double>::infinity();
+    for (NodeId v = 0; v < points.size(); ++v) {
+      if (v == u) continue;
+      const double d2 = geom::dist2(points[u], points[v]);
+      if (d2 < best_d2 || (d2 == best_d2 && v < best)) {
+        best_d2 = d2;
+        best = v;
+      }
+    }
+    if (best != kInvalidNode) out.add_edge(u, best);
+  }
+  return out;
+}
+
+/// The largest nearest-neighbour distance, nudged up so the UDG's closed
+/// test dist2 <= R * R keeps the farthest nearest pair.
+double nn_cover_radius(const geom::PointSet& points) {
+  double max_d2 = 0.0;
+  for (NodeId u = 0; u < points.size(); ++u) {
+    double best = std::numeric_limits<double>::infinity();
+    for (NodeId v = 0; v < points.size(); ++v) {
+      if (v != u) best = std::min(best, geom::dist2(points[u], points[v]));
+    }
+    max_d2 = std::max(max_d2, best);
+  }
+  return std::sqrt(max_d2) * (1.0 + 1e-9);
+}
+
+void expect_same_graph(const graph::Graph& got, const graph::Graph& want) {
+  ASSERT_EQ(got.node_count(), want.node_count());
+  EXPECT_TRUE(std::equal(got.edges().begin(), got.edges().end(),
+                         want.edges().begin(), want.edges().end()));
+  for (NodeId u = 0; u < got.node_count(); ++u) {
+    EXPECT_TRUE(std::equal(got.neighbors(u).begin(), got.neighbors(u).end(),
+                           want.neighbors(u).begin(), want.neighbors(u).end()))
+        << "adjacency of node " << u;
+  }
+}
+
+void expect_points_only_nnf_identity(const geom::PointSet& points) {
+  const graph::Graph grid = nearest_neighbor_forest(points);
+  expect_same_graph(grid, brute_nnf(points));
+  const double r = nn_cover_radius(points);
+  for (const double radius : {r, 2.0 * r}) {
+    SCOPED_TRACE(testing::Message() << "udg radius " << radius);
+    expect_same_graph(grid, nearest_neighbor_forest(
+                                points, graph::build_udg(points, radius)));
+  }
+}
+
+TEST(Nnf, PointsOnlyFormMatchesUdgFormAndBruteOnUniform) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 11u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_points_only_nnf_identity(sim::uniform_square(300, 5.0, seed));
+  }
+}
+
+TEST(Nnf, PointsOnlyFormMatchesUdgFormAndBruteWithDuplicates) {
+  for (const std::uint64_t seed : {4u, 5u}) {
+    geom::PointSet points = sim::gaussian_clusters(120, 3, 4.0, 0.3, seed);
+    // Every other point repeated: ties at distance 0 break toward the
+    // smaller id, and a pair of duplicates is mutually nearest.
+    const std::size_t base = points.size();
+    for (std::size_t v = 0; v < base; v += 2) points.push_back(points[v]);
+    points.push_back(points.front());
+    expect_points_only_nnf_identity(points);
+  }
+}
+
+TEST(Nnf, PointsOnlyFormMatchesUdgFormAndBruteOnCollinearPoints) {
+  geom::PointSet line;
+  geom::PointSet evenly;  // equal gaps: every interior node has a tie
+  for (int i = 0; i < 150; ++i) {
+    const double t = 0.37 * static_cast<double>((i * 53) % 150);
+    line.push_back({t, 2.0 * t + 1.0});
+    evenly.push_back({static_cast<double>((i * 7) % 150), 0.0});
+  }
+  expect_points_only_nnf_identity(line);
+  expect_points_only_nnf_identity(evenly);
 }
 
 TEST(Mst, ContainsNnf) {
