@@ -7,8 +7,8 @@
 #include "rim/core/interference.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/core/snapshot.hpp"
 #include "rim/geom/grid_index.hpp"
-#include "rim/geom/kdtree.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/highway/a_apx.hpp"
 #include "rim/highway/a_exp.hpp"
@@ -18,6 +18,7 @@
 #include "rim/sim/generators.hpp"
 #include "rim/sim/rng.hpp"
 #include "rim/topology/mst_topology.hpp"
+#include "rim/topology/nearest_neighbor_forest.hpp"
 #include "rim/topology/registry.hpp"
 
 namespace {
@@ -147,17 +148,37 @@ void BM_GridIndexQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexQuery);
 
-void BM_KdTreeNearest(benchmark::State& state) {
-  const auto points = sim::uniform_square(65536, 72.0, 3);
-  const geom::KdTree tree(points);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.nearest(points[i % points.size()], static_cast<NodeId>(i % points.size())));
-    ++i;
+void BM_ScenarioColdStart(benchmark::State& state) {
+  // Cold start of the incremental engine on a points-only NNF at density
+  // 12.5. restore=0 times Scenario(points, topology) plus the first
+  // move_node, which builds the persistent grid; restore=1 times restore()
+  // of that scenario's snapshot, grid included. Neither runs a full
+  // evaluation: a fresh scenario's cache is dirty, so the move skips its
+  // disk delta.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double side = std::sqrt(static_cast<double>(n) / 12.5);
+  const auto points = sim::uniform_square(n, side, 42);
+  const graph::Graph nnf = topology::nearest_neighbor_forest(points);
+  const geom::Vec2 moved{points[0].x + 0.01, points[0].y};
+  if (state.range(1) == 0) {
+    for (auto _ : state) {
+      core::Scenario scenario(points, nnf);
+      scenario.move_node(0, moved);
+      benchmark::DoNotOptimize(scenario.node_count());
+    }
+  } else {
+    core::Scenario scenario(points, nnf);
+    scenario.move_node(0, moved);
+    const core::Snapshot snapshot = scenario.snapshot();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(scenario.restore(snapshot));
+    }
   }
 }
-BENCHMARK(BM_KdTreeNearest);
+BENCHMARK(BM_ScenarioColdStart)
+    ->ArgNames({"nodes", "restore"})
+    ->ArgsProduct({{4096, 100000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AExp(benchmark::State& state) {
   const auto chain =

@@ -85,11 +85,9 @@ Scenario& Scenario::operator=(const Scenario& other) {
 
 void Scenario::ensure_grid() {
   if (grid_built_) return;
-  grid_.clear(pick_cell_size(nodes_.radii2()));
-  grid_.reserve(nodes_.size());
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    grid_.insert(v, nodes_.position(v), nodes_.radius2(v));
-  }
+  // id == slot, so the slot-ordered columns are the id-ordered point set.
+  grid_.build(pick_cell_size(nodes_.radii2()), nodes_.xs(), nodes_.ys(),
+              nodes_.radii2());
   grid_built_ = true;
 }
 
@@ -397,6 +395,7 @@ bool Scenario::restore(const Snapshot& snapshot, std::string* error) {
     return false;
   }
   nodes_ = NodeSoA();
+  nodes_.reserve(snapshot.points.size());
   max_radius2_ = 0.0;
   for (NodeId v = 0; v < snapshot.points.size(); ++v) {
     nodes_.insert(v, snapshot.points[v], snapshot.radii2[v]);
@@ -409,10 +408,8 @@ bool Scenario::restore(const Snapshot& snapshot, std::string* error) {
   options_ = snapshot.options;
   grid_built_ = false;
   if (snapshot.grid_built) {
-    grid_.clear(snapshot.cell_size);
-    for (NodeId v = 0; v < nodes_.size(); ++v) {
-      grid_.insert(v, nodes_.position(v), nodes_.radius2(v));
-    }
+    grid_.build(snapshot.cell_size, nodes_.xs(), nodes_.ys(),
+                nodes_.radii2());
     grid_built_ = true;
   } else {
     grid_.clear(1.0);

@@ -113,7 +113,11 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   BatchResult result;
   result.abort_index = batch.size();
   if (batch.empty()) return result;
-  ensure_grid();
+  // A batch seeding an empty scenario adds its leading arrivals to the
+  // columns only; the grid is bulk-built from them at the first other
+  // mutation or after the pass. The content equals inserting them in id
+  // order, and the cell size is the one an empty grid would get.
+  if (nodes_.size() != 0) ensure_grid();
   const obs::ScopedTimer timer(stats_.batch_ns);
   ++stats_.batches;
   const bool was_dirty = dirty_;
@@ -164,13 +168,14 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       break;
     }
     const Mutation& m = batch[bi];
+    if (m.kind != Mutation::Kind::kAddNode) ensure_grid();
     const std::size_t n = nodes_.size();
     switch (m.kind) {
       case Mutation::Kind::kAddNode: {
         const auto id = static_cast<NodeId>(n);
         nodes_.insert(id, m.position, 0.0);
         adjacency_.emplace_back();
-        grid_.insert(id, m.position, 0.0);
+        if (grid_built_) grid_.insert(id, m.position, 0.0);
         if (!was_dirty) interference_.push_back(0u);
         pending[id] = PendingNode{m.position, 0.0, false, true};
         has_pending[id] = 1;
@@ -266,6 +271,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       }
     }
   }
+  ensure_grid();
   if (rescan_max) {
     max_radius2_ = 0.0;
     for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <string_view>
 
@@ -311,8 +312,24 @@ bool Snapshot::validate(std::string& error) const {
   if (cache_valid ? interference.size() != n : !interference.empty()) {
     return decode_fail(error, "interference size mismatch");
   }
+  // The checksum is no MAC, so a crafted snapshot can carry any bits. The
+  // grid casts floor(x / cell_size) to an integer, and non-finite values
+  // would make that undefined behaviour.
+  if (!std::isfinite(cell_size)) {
+    return decode_fail(error, "cell_size not finite");
+  }
   if (grid_built && !(cell_size > 0.0)) {
     return decode_fail(error, "grid marked built but cell_size not positive");
+  }
+  for (const geom::Vec2 p : points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return decode_fail(error, "points coordinate not finite");
+    }
+  }
+  for (const double r2 : radii2) {
+    if (!std::isfinite(r2) || r2 < 0.0) {
+      return decode_fail(error, "radii2 value not finite and non-negative");
+    }
   }
   std::size_t degree_sum = 0;
   for (NodeId u = 0; u < n; ++u) {

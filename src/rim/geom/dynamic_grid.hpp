@@ -1,9 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "rim/common/types.hpp"
@@ -16,16 +17,29 @@
 /// The frozen geom::GridIndex serves point sets that hold still while a
 /// query pass runs (full evaluations, topology builders); a churn workload
 /// where a single node arrives, departs, or moves per tick would rebuild
-/// it per event. DynamicGrid keeps the same cell decomposition in a hash
-/// map keyed by cell coordinate, so points can be inserted, erased, moved,
-/// and relabelled in O(1) expected time while disk queries stay
+/// it per event. DynamicGrid keeps the same cell decomposition over an
+/// unbounded plane, so points can be inserted, erased, moved, and
+/// relabelled in O(1) amortised time while disk queries stay
 /// O(cells ∩ disk). It is the persistent index behind core::Scenario's
 /// incremental interference engine.
 ///
-/// Storage is structure-of-arrays per cell: each cell holds contiguous
-/// x/y/weight/id columns (the weight is the owner's squared transmission
-/// radius, kept adjacent so the coverage kernels touch one stream). Disk
-/// queries expose whole cells through for_each_cell_in_disk(); the
+/// Layout: one flat structure-of-arrays arena holds every point's
+/// x/y/weight/id (the weight is the owner's squared transmission radius,
+/// kept adjacent so the coverage kernels touch one stream). Each occupied
+/// cell owns one contiguous run [begin, begin + size) of the arena, with
+/// room for `capacity` points; a dense vector holds one header per occupied
+/// cell, and an open-addressing table (linear probing) maps a packed cell
+/// key to its header. An insert into a full cell moves the run to the arena
+/// tail at double capacity; a cell that empties drops its header at once,
+/// so the header count is always the occupied-cell count. When the dead
+/// slots left behind outnumber the live points, every run is re-laid out
+/// in header order in one pass. A copy is a handful of flat vectors.
+///
+/// build() lays out a whole point set in one pass: a stable LSD radix sort
+/// of the ids by cell key, then one run per distinct key, so ids ascend
+/// within each cell exactly as id-order insert() calls leave them.
+///
+/// Disk queries expose whole runs through for_each_cell_in_disk(); the
 /// geom/grid_kernels.hpp kernels run the simd.hpp containment tests over
 /// those columns two lanes at a time, bit-identical to the scalar loops.
 ///
@@ -68,19 +82,29 @@ class DynamicGrid {
   /// Drop all points and start over with a new cell size.
   void clear(double cell_size);
 
+  /// Drop all points and load ids 0..n-1 at (xs[i], ys[i]) with weights
+  /// ws[i] in one pass. The result equals n id-order insert() calls into an
+  /// empty grid: same content_checksum(), same cells, ids ascending within
+  /// each cell. Coordinates must be finite.
+  void build(double cell_size, std::span<const double> xs,
+             std::span<const double> ys, std::span<const double> ws);
+
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] double cell_size() const { return cell_size_; }
+  /// Number of non-empty cells.
+  [[nodiscard]] std::size_t occupied_cells() const { return cells_.size(); }
+  /// Arena slots in use: live points, spare room at the end of runs, and
+  /// dead slots left by moved or emptied runs (until the next re-layout).
+  [[nodiscard]] std::size_t arena_slots() const { return ids_.size(); }
   [[nodiscard]] bool contains(NodeId id) const {
-    return id < present_.size() && present_[id] != 0;
+    return id < slot_.size() && slot_[id] != kNone;
   }
-  [[nodiscard]] Vec2 position(NodeId id) const { return pos_[id]; }
+  /// The position of \p id (must be present).
+  [[nodiscard]] Vec2 position(NodeId id) const {
+    return {xs_[slot_[id]], ys_[slot_[id]]};
+  }
   /// The weight (squared radius) registered for \p id (must be present).
-  [[nodiscard]] double weight(NodeId id) const { return weight_[id]; }
-
-  /// Pre-size the per-id mirrors and the cell table for \p nodes points —
-  /// bulk loads (million-node deployments) pay one allocation per mirror
-  /// and skip the hash-table rehash cascade instead of doubling through it.
-  void reserve(std::size_t nodes);
+  [[nodiscard]] double weight(NodeId id) const { return ws_[slot_[id]]; }
 
   /// Insert \p id at \p p with coverage weight \p weight (its squared
   /// transmission radius). \p id must not currently be present.
@@ -99,12 +123,12 @@ class DynamicGrid {
   /// present. Supports the engine's swap-with-last node removal.
   void relabel(NodeId from, NodeId to);
 
-  /// Invoke fn(CellView) for every cell that may hold points of the closed
-  /// disk dist2(p, center) <= radius2 — the walk rectangle of the
-  /// ulp-inflated radius, or every occupied cell when the rectangle is
-  /// larger than the occupancy (bounding huge-radius queries by O(points)).
-  /// Cells outside the disk may be visited; points inside it are never
-  /// missed. Returns the number of cells visited.
+  /// Invoke fn(CellView) for every non-empty cell that may hold points of
+  /// the closed disk dist2(p, center) <= radius2 — the walk rectangle of
+  /// the ulp-inflated radius, or every occupied cell (in header order) when
+  /// the rectangle is larger than the occupancy (bounding huge-radius
+  /// queries by O(points)). Cells outside the disk may be visited; points
+  /// inside it are never missed. Returns the number of cells visited.
   template <typename Fn>
   std::size_t for_each_cell_in_disk(Vec2 center, double radius2,
                                     Fn&& fn) const {
@@ -119,27 +143,20 @@ class DynamicGrid {
     const std::int64_t hiy = coord(center.y + walk);
     const auto span_x = static_cast<double>(hix - lox + 1);
     const auto span_y = static_cast<double>(hiy - loy + 1);
-    std::size_t cells_visited = 0;
     // When the walk rectangle holds more cells than are occupied, scanning
     // the occupied cells directly is cheaper (and bounds a huge-radius
     // query by O(points) instead of O(rectangle area)).
     if (span_x * span_y > static_cast<double>(cells_.size())) {
-      // RIM_LINT_ALLOW(project-taint): cell visit order is explicitly outside
-      // this function's contract (the rectangle path below already visits in
-      // a different order); callers fold cells with order-insensitive
-      // set/count semantics, pinned bit-identical by the determinism tests.
-      for (const auto& [key, cell] : cells_) {
-        ++cells_visited;
-        fn(cell.view());
-      }
-      return cells_visited;
+      for (const CellHeader& cell : cells_) fn(view(cell));
+      return cells_.size();
     }
+    std::size_t cells_visited = 0;
     for (std::int64_t cy = loy; cy <= hiy; ++cy) {
       for (std::int64_t cx = lox; cx <= hix; ++cx) {
-        const auto it = cells_.find(pack(cx, cy));
-        if (it == cells_.end()) continue;
+        const std::uint32_t c = find_cell(pack(cx, cy));
+        if (c == kNone) continue;
         ++cells_visited;
-        fn(it->second.view());
+        fn(view(cells_[c]));
       }
     }
     return cells_visited;
@@ -173,10 +190,10 @@ class DynamicGrid {
 
   /// FNV-1a over (id, position bits, cell key) of every present point in
   /// ascending id order — a pure function of logical content, independent
-  /// of per-cell bucket ordering and insertion history. Two grids holding
-  /// the same points at the same cell size (e.g. an evolved grid and one
-  /// rebuilt by Scenario::restore) checksum identically; snapshot tests
-  /// use this to witness grid-occupancy equivalence.
+  /// of arena layout and insertion history. Two grids holding the same
+  /// points at the same cell size (e.g. an evolved grid and one rebuilt by
+  /// Scenario::restore) checksum identically; snapshot tests use this to
+  /// witness grid-occupancy equivalence.
   [[nodiscard]] std::uint64_t content_checksum() const;
 
   /// Lifetime operation counters (reset by clear()).
@@ -187,38 +204,87 @@ class DynamicGrid {
   /// coordinates to 32 bits; a wrap collision merely co-buckets two far
   /// apart cells, and the exact distance test rejects their points.
   using CellKey = std::uint64_t;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  /// One cell's SoA columns (kept in lockstep; see CellView).
-  struct Cell {
-    std::vector<double> xs;
-    std::vector<double> ys;
-    std::vector<double> ws;
-    std::vector<NodeId> ids;
-
-    [[nodiscard]] CellView view() const {
-      return {xs.data(), ys.data(), ws.data(), ids.data(), ids.size()};
-    }
+  /// One occupied cell: its key and its run [begin, begin + size) of the
+  /// arena, which has room for `capacity` points.
+  struct CellHeader {
+    CellKey key;
+    std::uint32_t begin;
+    std::uint32_t size;
+    std::uint32_t capacity;
+  };
+  /// One open-addressing bucket: the header index of a cell (kNone when
+  /// the bucket is free) and the top 32 bits of its key's hash. The hash
+  /// fixes the home bucket, and a matching tag is confirmed against the
+  /// header's key.
+  struct Bucket {
+    std::uint32_t tag = 0;
+    std::uint32_t cell = kNone;
   };
 
   [[nodiscard]] static CellKey pack(std::int64_t cx, std::int64_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
   }
-  [[nodiscard]] std::int64_t coord(double x) const;
-  [[nodiscard]] CellKey key_of(Vec2 p) const;
+  [[nodiscard]] std::int64_t coord(double x) const {
+    // Clamped so a far-out point or a tiny cell cannot overflow the cast;
+    // a walk across such cells takes the full-scan branch.
+    constexpr double kLimit = 0x1p61;
+    return static_cast<std::int64_t>(
+        std::clamp(std::floor(x / cell_size_), -kLimit, kLimit));
+  }
+  [[nodiscard]] CellKey key_of(Vec2 p) const {
+    return pack(coord(p.x), coord(p.y));
+  }
+  [[nodiscard]] CellView view(const CellHeader& cell) const {
+    return {xs_.data() + cell.begin, ys_.data() + cell.begin,
+            ws_.data() + cell.begin, ids_.data() + cell.begin, cell.size};
+  }
+  /// Fibonacci hash of \p key, top half: every bit of the key reaches it.
+  [[nodiscard]] static std::uint32_t tag_of(CellKey key) {
+    return static_cast<std::uint32_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
+  }
+  /// Header index of the cell keyed \p key, or kNone when it is empty.
+  [[nodiscard]] std::uint32_t find_cell(CellKey key) const {
+    if (table_.empty()) return kNone;
+    const std::uint32_t tag = tag_of(key);
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t b = tag >> table_shift_;; b = (b + 1) & mask) {
+      const Bucket& bucket = table_[b];
+      if (bucket.cell == kNone) return kNone;
+      if (bucket.tag == tag && cells_[bucket.cell].key == key) {
+        return bucket.cell;
+      }
+    }
+  }
+  /// The bucket holding header index \p cell (which must be present).
+  [[nodiscard]] std::size_t bucket_of(std::uint32_t cell) const;
+  void table_insert(CellKey key, std::uint32_t cell);
+  void table_erase(std::uint32_t cell);
+  void rehash(std::size_t min_cells);
+  std::uint32_t append_run(std::uint32_t capacity);
+  void grow(std::uint32_t cell);
+  void drop_cell(std::uint32_t cell);
+  void compact();
   void ensure_id(NodeId id);
-  void attach_to_cell(NodeId id);
-  void detach_from_cell(NodeId id);
+  void attach(NodeId id, CellKey key, double x, double y, double w);
+  void detach(NodeId id);
 
   double cell_size_;
   std::size_t count_ = 0;
-  std::unordered_map<CellKey, Cell> cells_;
+  // The arena: one SoA slot per point, grouped into per-cell runs.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::vector<double> ws_;
+  std::vector<NodeId> ids_;
+  std::size_t dead_ = 0;  ///< arena slots owned by no cell
+  std::vector<CellHeader> cells_;  ///< one per non-empty cell
+  std::vector<Bucket> table_;      ///< power-of-two size, at most half full
+  unsigned table_shift_ = 32;      ///< tag >> table_shift_ is the home bucket
   // Per-id mirrors (indexed by id, grown on demand).
-  std::vector<Vec2> pos_;
   std::vector<CellKey> key_;
-  std::vector<std::uint32_t> idx_;  ///< slot within the cell's columns
-  std::vector<double> weight_;
-  std::vector<std::uint8_t> present_;
+  std::vector<std::uint32_t> slot_;  ///< arena slot, kNone when absent
   // Mutable: const queries still count themselves (relaxed atomics).
   mutable GridStats stats_;
 };

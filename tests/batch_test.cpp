@@ -5,6 +5,7 @@
 #include "rim/core/assessor.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/core/snapshot.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/parallel/thread_pool.hpp"
 #include "rim/sim/generators.hpp"
@@ -121,6 +122,70 @@ TEST(ApplyBatch, SingleMutationBatchMatchesApply) {
   serial.apply(m);
   batched.apply_batch(std::span<const Mutation>(&m, 1), nullptr);
   expect_scenarios_identical(serial, batched, "single-mutation batch");
+}
+
+/// Hooks that abort the structural pass before mutation \p index.
+class AbortBefore final : public BatchHooks {
+ public:
+  explicit AbortBefore(std::size_t index) : index_(index) {}
+  bool before_mutation(std::size_t index) override { return index != index_; }
+
+ private:
+  std::size_t index_;
+};
+
+/// A batch seeding an empty scenario bulk-builds the grid from its leading
+/// arrivals instead of inserting them one at a time. The state must equal
+/// applying the same mutations one by one: the same snapshot bytes (cell
+/// size included), the same nearest answers, and the same batch results
+/// under further churn. An abort among the arrivals keeps its prefix.
+TEST(ApplyBatch, SeedBatchOnEmptyScenarioMatchesSerial) {
+  sim::Rng rng(77);
+  std::vector<Mutation> seed;
+  for (int i = 0; i < 300; ++i) {
+    seed.push_back(
+        Mutation::add_node({rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)}));
+  }
+  for (NodeId v = 1; v < 300; v += 2) {
+    seed.push_back(Mutation::add_edge(v, v - 1));
+  }
+  seed.push_back(Mutation::move_node(3, {2.5, 2.5}));
+  for (int i = 0; i < 20; ++i) {  // arrivals after the grid exists
+    seed.push_back(
+        Mutation::add_node({rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)}));
+  }
+
+  const auto expect_same = [&](Scenario& a, Scenario& b, const char* what) {
+    EXPECT_EQ(a.snapshot().to_bytes(), b.snapshot().to_bytes()) << what;
+    for (int i = 0; i < 20; ++i) {
+      const geom::Vec2 p{rng.uniform(-1.0, 6.0), rng.uniform(-1.0, 6.0)};
+      EXPECT_EQ(a.nearest_node(p), b.nearest_node(p)) << what;
+    }
+    expect_scenarios_identical(a, b, what);
+  };
+
+  Scenario batched;
+  (void)batched.apply_batch(seed, nullptr);
+  Scenario serial;
+  for (const Mutation& m : seed) serial.apply(m);
+  expect_same(batched, serial, "seed batch");
+  const std::vector<Mutation> churn =
+      sim::make_churn_batch(rng, batched.node_count(), small_config(5));
+  const BatchResult a = batched.apply_batch(churn, nullptr);
+  const BatchResult b = serial.apply_batch(churn, nullptr);
+  EXPECT_EQ(a.disk_tasks, b.disk_tasks);
+  EXPECT_EQ(a.recounts, b.recounts);
+  EXPECT_EQ(a.deferred, b.deferred);
+  expect_same(batched, serial, "churn after the seed");
+  expect_matches_brute(batched, "churn after the seed");
+
+  AbortBefore abort(120);
+  Scenario aborted;
+  const BatchResult r = aborted.apply_batch(seed, nullptr, &abort);
+  ASSERT_TRUE(r.aborted);
+  Scenario prefix;
+  for (std::size_t i = 0; i < 120; ++i) prefix.apply(seed[i]);
+  expect_same(aborted, prefix, "aborted seed batch");
 }
 
 TEST(ApplyBatch, InvalidIdsAreSkipped) {

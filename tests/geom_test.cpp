@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "rim/geom/aabb.hpp"
-#include "rim/geom/closest_pair.hpp"
 #include "rim/geom/disk.hpp"
 #include "rim/geom/grid_index.hpp"
-#include "rim/geom/kdtree.hpp"
 #include "rim/geom/vec2.hpp"
 #include "rim/highway/highway_instance.hpp"
 #include "rim/sim/generators.hpp"
@@ -382,112 +379,6 @@ TEST(GridIndex, ExponentialChainDoublesTheCellAndStaysExact) {
   }
   expect_index_matches_brute(points, smallest_gap, centers,
                              {0.0, smallest_gap, 1e-6, 1e-3, 0.3, 5.0});
-}
-
-class KdTreeTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(KdTreeTest, NearestMatchesBruteForce) {
-  const PointSet points = sim::uniform_square(300, 2.0, GetParam());
-  const KdTree tree(points);
-  for (NodeId probe = 0; probe < points.size(); probe += 11) {
-    NodeId expected = kInvalidNode;
-    double best = std::numeric_limits<double>::infinity();
-    for (NodeId v = 0; v < points.size(); ++v) {
-      if (v == probe) continue;
-      const double d2 = dist2(points[v], points[probe]);
-      if (d2 < best || (d2 == best && v < expected)) {
-        best = d2;
-        expected = v;
-      }
-    }
-    EXPECT_EQ(tree.nearest(points[probe], probe), expected);
-  }
-}
-
-TEST_P(KdTreeTest, KNearestSortedAndCorrect) {
-  const PointSet points = sim::uniform_square(100, 2.0, GetParam());
-  const KdTree tree(points);
-  const Vec2 q{1.0, 1.0};
-  const auto got = tree.k_nearest(q, 7);
-  ASSERT_EQ(got.size(), 7u);
-  // Ascending by distance.
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(dist2(points[got[i - 1]], q), dist2(points[got[i]], q));
-  }
-  // Matches a brute-force top-7.
-  std::vector<NodeId> all(points.size());
-  std::iota(all.begin(), all.end(), NodeId{0});
-  std::sort(all.begin(), all.end(), [&](NodeId a, NodeId b) {
-    const double da = dist2(points[a], q);
-    const double db = dist2(points[b], q);
-    return da < db || (da == db && a < b);
-  });
-  EXPECT_EQ(got, std::vector<NodeId>(all.begin(), all.begin() + 7));
-}
-
-TEST_P(KdTreeTest, DiskQueryMatchesGrid) {
-  const PointSet points = sim::uniform_square(200, 3.0, GetParam());
-  const KdTree tree(points);
-  const GridIndex grid(points, 0.5);
-  for (NodeId probe = 0; probe < 10; ++probe) {
-    std::vector<NodeId> kd;
-    tree.for_each_in_disk(points[probe], 0.9,
-                          [&](NodeId id) { kd.push_back(id); });
-    std::sort(kd.begin(), kd.end());
-    EXPECT_EQ(kd, grid.query_disk(points[probe], 0.9));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KdTreeTest, ::testing::Values(5u, 6u, 7u));
-
-TEST(KdTree, EmptyAndTiny) {
-  const PointSet empty;
-  const KdTree t0(empty);
-  EXPECT_EQ(t0.nearest({0, 0}), kInvalidNode);
-  EXPECT_TRUE(t0.k_nearest({0, 0}, 3).empty());
-
-  const PointSet one{{2, 2}};
-  const KdTree t1(one);
-  EXPECT_EQ(t1.nearest({0, 0}), 0u);
-  EXPECT_EQ(t1.k_nearest({0, 0}, 5).size(), 1u);
-}
-
-TEST(KdTree, KZeroReturnsEmpty) {
-  const PointSet points{{0, 0}, {1, 1}};
-  const KdTree tree(points);
-  EXPECT_TRUE(tree.k_nearest({0, 0}, 0).empty());
-}
-
-class ClosestPairTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ClosestPairTest, MatchesBruteForce) {
-  for (std::size_t n : {2u, 3u, 10u, 57u, 200u}) {
-    const PointSet points = sim::uniform_square(n, 3.0, GetParam() * 1000 + n);
-    const auto fast = closest_pair(points);
-    const auto brute = closest_pair_brute(points);
-    EXPECT_DOUBLE_EQ(fast.distance, brute.distance) << "n=" << n;
-    EXPECT_EQ(fast.a, brute.a) << "n=" << n;
-    EXPECT_EQ(fast.b, brute.b) << "n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ClosestPairTest,
-                         ::testing::Values(11u, 12u, 13u, 14u));
-
-TEST(ClosestPair, KnownAnswer) {
-  const PointSet points{{0, 0}, {5, 5}, {0.1, 0}, {9, 9}};
-  const auto result = closest_pair(points);
-  EXPECT_EQ(result.a, 0u);
-  EXPECT_EQ(result.b, 2u);
-  EXPECT_NEAR(result.distance, 0.1, 1e-12);
-}
-
-TEST(ClosestPair, DuplicatePointsGiveZero) {
-  const PointSet points{{1, 1}, {2, 2}, {1, 1}};
-  const auto result = closest_pair(points);
-  EXPECT_DOUBLE_EQ(result.distance, 0.0);
-  EXPECT_EQ(result.a, 0u);
-  EXPECT_EQ(result.b, 2u);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "rim/core/assessor.hpp"
 #include "rim/core/interference.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/core/snapshot.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/sim/generators.hpp"
 #include "rim/sim/rng.hpp"
+#include "rim/sim/workload.hpp"
 #include "rim/topology/mst_topology.hpp"
+#include "rim/topology/nearest_neighbor_forest.hpp"
 
 namespace rim::core {
 namespace {
@@ -235,6 +240,169 @@ TEST(ScenarioRegression, NodeAdditionBoundedByTwoUnderNearestNeighbor) {
           << "seed " << seed << " newcomer (" << p.x << ", " << p.y << ")";
     }
   }
+}
+
+/// Churn for the copy and restore tests on a points-only NNF deployment of
+/// side \p side, batch \p index of a fixed schedule. Most batches are local:
+/// nudges within a few cells and edges to each node's nearest neighbour.
+/// Every fourth also has arrivals anywhere, wired to their nearest node,
+/// and departures (swap-with-last renames). Batch 5 moves node 0 far out,
+/// so its disk spans the deployment and the batch is deferred; batch 6
+/// removes it again, so later batches run incrementally.
+std::vector<Mutation> churn_batch(Scenario& s, sim::Rng& rng, int index,
+                                  double side) {
+  const std::size_t n = s.node_count();
+  std::vector<Mutation> batch;
+  if (index == 5) {
+    batch.push_back(Mutation::move_node(0, {side * 3.0, side * 3.0}));
+  }
+  if (index == 6) batch.push_back(Mutation::remove_node(0));
+  // Ids below n1 keep their node through the batch's removal of node 0.
+  const std::size_t n1 = index == 6 ? n - 1 : n;
+  for (int i = 0; i < 96; ++i) {
+    const auto v = static_cast<NodeId>(1 + rng.next_below(n1 - 1));
+    const geom::Vec2 p = s.position(v);
+    if (i % 3 == 0) {
+      const NodeId w = s.nearest_node(p, v);
+      if (w != kInvalidNode && w < n1) batch.push_back(Mutation::add_edge(v, w));
+    } else {
+      batch.push_back(Mutation::move_node(
+          v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}));
+    }
+  }
+  if (index % 4 == 3) {
+    for (int i = 0; i < 8; ++i) {
+      const geom::Vec2 p{rng.uniform(0.0, side), rng.uniform(0.0, side)};
+      const auto id = static_cast<NodeId>(n + static_cast<std::size_t>(i));
+      batch.push_back(Mutation::add_node(p));
+      batch.push_back(Mutation::add_edge(id, s.nearest_node(p)));
+    }
+    for (int i = 0; i < 6; ++i) {
+      batch.push_back(Mutation::remove_node(
+          static_cast<NodeId>(1 + rng.next_below(n - 1))));
+    }
+  }
+  return batch;
+}
+
+void expect_same_result(const BatchResult& a, const BatchResult& b,
+                        int batch) {
+  EXPECT_EQ(a.applied, b.applied) << "batch " << batch;
+  EXPECT_EQ(a.disk_tasks, b.disk_tasks) << "batch " << batch;
+  EXPECT_EQ(a.recounts, b.recounts) << "batch " << batch;
+  EXPECT_EQ(a.waves, b.waves) << "batch " << batch;
+  EXPECT_EQ(a.deferred, b.deferred) << "batch " << batch;
+  EXPECT_EQ(a.aborted, b.aborted) << "batch " << batch;
+  EXPECT_EQ(a.abort_index, b.abort_index) << "batch " << batch;
+}
+
+std::vector<std::uint32_t> interference_of(Scenario& s) {
+  const auto values = s.interference();
+  return {values.begin(), values.end()};
+}
+
+struct Deployment {
+  geom::PointSet points;
+  graph::Graph nnf;
+  double side = 0.0;
+};
+
+Deployment nnf_deployment(std::size_t n, std::uint64_t seed) {
+  Deployment d;
+  d.side = std::sqrt(static_cast<double>(n) / 12.5);
+  d.points = sim::uniform_square(n, d.side, seed);
+  d.nnf = topology::nearest_neighbor_forest(d.points);
+  return d;
+}
+
+TEST(ScenarioCopy, MutatingACopyLeavesTheSourceUntouched) {
+  const Deployment d = nnf_deployment(2000, 31);
+  Scenario source(d.points, d.nnf);
+  (void)source.nearest_node({0.0, 0.0});  // build the grid
+  const std::vector<std::uint32_t> interference = interference_of(source);
+  const std::uint64_t checksum = source.snapshot().payload_checksum();
+
+  Scenario copy(source);
+  sim::Rng rng(5);
+  for (int b = 0; b < 6; ++b) {
+    (void)copy.apply_batch(churn_batch(copy, rng, b, d.side));
+  }
+  copy.move_node(0, {d.side * 2.0, d.side * 2.0});
+  copy.remove_node(1);
+  (void)copy.add_node({-1.0, -1.0});
+  ASSERT_NE(copy.snapshot().payload_checksum(), checksum);
+
+  EXPECT_EQ(source.snapshot().payload_checksum(), checksum);
+  EXPECT_EQ(interference_of(source), interference);
+  // The source's own grid still answers: churn it like a fresh twin.
+  Scenario twin(d.points, d.nnf);
+  (void)twin.nearest_node({0.0, 0.0});
+  (void)twin.interference();
+  sim::Rng rs(6);
+  sim::Rng rt(6);
+  for (int b = 0; b < 4; ++b) {
+    const BatchResult a = source.apply_batch(churn_batch(source, rs, b, d.side));
+    const BatchResult t = twin.apply_batch(churn_batch(twin, rt, b, d.side));
+    expect_same_result(a, t, b);
+  }
+  EXPECT_EQ(source.snapshot().payload_checksum(),
+            twin.snapshot().payload_checksum());
+  EXPECT_EQ(interference_of(source), interference_of(twin));
+  expect_matches_brute(source, "source after churn");
+}
+
+TEST(ScenarioCopy, CopyAssignedScenarioChurnsLikeAFreshOne) {
+  const Deployment d = nnf_deployment(2000, 32);
+  const Deployment other = nnf_deployment(500, 33);
+  Scenario fresh(d.points, d.nnf);
+  Scenario assigned(other.points, other.nnf);
+  sim::Rng warm(7);
+  for (int b = 0; b < 3; ++b) {  // give the target a grid and history
+    (void)assigned.apply_batch(churn_batch(assigned, warm, b, other.side));
+  }
+  {
+    const Scenario source(d.points, d.nnf);
+    assigned = source;
+  }
+  sim::Rng rf(8);
+  sim::Rng ra(8);
+  for (int b = 0; b < 8; ++b) {
+    const BatchResult f = fresh.apply_batch(churn_batch(fresh, rf, b, d.side));
+    const BatchResult a =
+        assigned.apply_batch(churn_batch(assigned, ra, b, d.side));
+    expect_same_result(f, a, b);
+    ASSERT_EQ(interference_of(fresh), interference_of(assigned)) << "batch " << b;
+  }
+  EXPECT_EQ(fresh.snapshot().to_bytes(), assigned.snapshot().to_bytes());
+  expect_matches_brute(assigned, "assigned after churn");
+}
+
+/// restore(snapshot(s)) must continue exactly like s: same BatchResult
+/// (deferral decisions included, which read the grid's occupancy) and the
+/// same interference, batch by batch, and it re-snapshots byte-identically.
+TEST(ScenarioRestore, RestoredScenarioTracksTheOriginalBatchByBatch) {
+  const Deployment d = nnf_deployment(20000, 34);
+  Scenario s(d.points, d.nnf);
+  Scenario restored(nnf_deployment(300, 35).points,
+                    nnf_deployment(300, 35).nnf);
+  sim::Rng rs(9);
+  sim::Rng rr(9);
+  std::size_t deferred = 0;
+  for (int b = 0; b < 12; ++b) {
+    const Snapshot snap = s.snapshot();
+    std::string error;
+    ASSERT_TRUE(restored.restore(snap, &error)) << error;
+    ASSERT_EQ(restored.snapshot().to_bytes(), snap.to_bytes())
+        << "batch " << b;
+    const BatchResult a = s.apply_batch(churn_batch(s, rs, b, d.side));
+    const BatchResult r =
+        restored.apply_batch(churn_batch(restored, rr, b, d.side));
+    expect_same_result(a, r, b);
+    deferred += a.deferred ? 1 : 0;
+    ASSERT_EQ(interference_of(s), interference_of(restored)) << "batch " << b;
+  }
+  EXPECT_GT(deferred, 0u);
+  EXPECT_LT(deferred, 12u);
 }
 
 }  // namespace

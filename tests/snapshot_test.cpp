@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -466,6 +467,70 @@ TEST(SnapshotTest, ValidateCatchesStructuralLies) {
     EXPECT_FALSE(target.restore(snap, &error));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(target.snapshot().to_bytes(), before);
+  }
+}
+
+/// A snapshot whose geometry was tampered with after snapshot(): its bytes
+/// carry a fresh, valid checksum (the checksum is no MAC), so only
+/// validate() stands between them and the grid. Decoding must name
+/// \p field, and restore must refuse and leave the target untouched.
+void expect_geometry_rejected(const Snapshot& tampered, const char* field,
+                              const char* context) {
+  Snapshot decoded;
+  std::string error;
+  EXPECT_FALSE(Snapshot::from_bytes(tampered.to_bytes(), decoded, error))
+      << context;
+  EXPECT_NE(error.find(field), std::string::npos)
+      << context << ": got '" << error << "'";
+
+  Scenario target = make_scenario(13);
+  (void)target.nearest_node({0.0, 0.0});  // build the grid
+  const std::vector<std::uint8_t> before = target.snapshot().to_bytes();
+  error.clear();
+  EXPECT_FALSE(target.restore(tampered, &error)) << context;
+  EXPECT_NE(error.find(field), std::string::npos) << context;
+  EXPECT_EQ(target.snapshot().to_bytes(), before) << context;
+}
+
+Snapshot grid_snapshot(std::uint64_t seed) {
+  Scenario scenario = make_scenario(seed);
+  (void)scenario.nearest_node({0.0, 0.0});
+  Snapshot snap = scenario.snapshot();
+  EXPECT_TRUE(snap.grid_built);
+  return snap;
+}
+
+TEST(SnapshotTest, NonFinitePointIsRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    Snapshot x = grid_snapshot(21);
+    x.points[1].x = bad;
+    expect_geometry_rejected(x, "points", "points[1].x");
+    Snapshot y = grid_snapshot(21);
+    y.points[1].y = bad;
+    expect_geometry_rejected(y, "points", "points[1].y");
+  }
+}
+
+TEST(SnapshotTest, NonFiniteOrNegativeRadiusIsRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    Snapshot snap = grid_snapshot(22);
+    snap.radii2[2] = bad;
+    expect_geometry_rejected(snap, "radii2", "radii2[2]");
+  }
+}
+
+TEST(SnapshotTest, NonFiniteCellSizeIsRejected) {
+  for (const bool built : {true, false}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      Snapshot snap = grid_snapshot(23);
+      snap.grid_built = built;
+      snap.cell_size = bad;
+      expect_geometry_rejected(snap, "cell_size", "cell_size");
+    }
   }
 }
 

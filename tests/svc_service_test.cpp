@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -309,6 +310,23 @@ TEST_F(SvcLoopback, RestoreRejectsGarbageAndKeepsState) {
   io::Json stats;
   ASSERT_TRUE(ok(client_.try_session_stats(session), stats));
   EXPECT_EQ(stats.find("nodes")->as_number(), double(twin_.node_count()));
+}
+
+TEST_F(SvcLoopback, RestoreRejectsNonFiniteGeometryAndKeepsState) {
+  const std::uint64_t session = seeded_session();
+  io::Json at_snapshot;
+  ASSERT_TRUE(ok(client_.try_snapshot(session), at_snapshot));
+  core::Snapshot tampered;
+  std::string error;
+  ASSERT_TRUE(core::Snapshot::from_json(at_snapshot, tampered, error)) << error;
+  ASSERT_GT(tampered.points.size(), 1u);
+  // A well-formed document with a valid checksum over a NaN coordinate.
+  tampered.points[1].x = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ok(client_.try_restore(session, tampered.to_json())));
+  EXPECT_EQ(client_.error_code(), code::kRestoreFailed);
+  io::Json again;
+  ASSERT_TRUE(ok(client_.try_snapshot(session), again));
+  EXPECT_EQ(again.dump(), at_snapshot.dump());
 }
 
 TEST_F(SvcLoopback, ErrorResponsesCarryWireCodes) {
