@@ -126,6 +126,62 @@ BENCHMARK(BM_ScenarioMoveNode)
     ->Range(256, 65536)
     ->Complexity();
 
+void BM_ScenarioPointOp(benchmark::State& state) {
+  // One point op on a warm incremental engine, with no query in the loop:
+  // iterations cycle move_node, add_edge and remove_edge over precomputed
+  // (node, nearest neighbor) pairs of a points-only NNF at density 12.5,
+  // so the time per iteration is the op's own cost. Moves alternate their
+  // direction per pass over the pairs, so nodes oscillate instead of
+  // drifting away. The `deferred` counter must read 0: a deferred op
+  // leaves the cache dirty, and later ops would skip their disk deltas.
+  // BM_ScenarioMoveNode and BM_ScenarioChurnEvent refresh
+  // max_interference() every iteration, an O(n) scan that hides the op.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double side = std::sqrt(static_cast<double>(n) / 12.5);
+  const auto points = sim::uniform_square(n, side, 42);
+  core::Scenario scenario(points, topology::nearest_neighbor_forest(points));
+  benchmark::DoNotOptimize(scenario.max_interference());
+  struct Op {
+    NodeId v;
+    NodeId w;
+    geom::Vec2 step;
+  };
+  std::vector<Op> ops(1024);
+  sim::Rng rng(29);
+  for (Op& op : ops) {
+    op.v = static_cast<NodeId>(rng.next_below(n));
+    op.w = scenario.nearest_node(scenario.position(op.v), op.v);
+    op.step = {0.05 * (rng.next_double() - 0.5),
+               0.05 * (rng.next_double() - 0.5)};
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Op& op = ops[(i / 3) % ops.size()];
+    const double sign = (i / (3 * ops.size())) % 2 == 0 ? 1.0 : -1.0;
+    switch (i % 3) {
+      case 0:
+        scenario.move_node(op.v, scenario.position(op.v) + sign * op.step);
+        break;
+      case 1:
+        benchmark::DoNotOptimize(scenario.add_edge(op.v, op.w));
+        break;
+      default:
+        benchmark::DoNotOptimize(scenario.remove_edge(op.v, op.w));
+        break;
+    }
+    ++i;
+  }
+  state.counters["deferred"] =
+      static_cast<double>(scenario.stats().batch_deferred.value() +
+                          scenario.stats().deferred_mutations.value());
+}
+BENCHMARK(BM_ScenarioPointOp)
+    ->ArgName("nodes")
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_UdgConstruction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const double side = std::sqrt(static_cast<double>(n) / 12.5);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "rim/core/radii.hpp"
 #include "rim/core/snapshot.hpp"
-#include "rim/geom/grid_kernels.hpp"
 
 namespace rim::core {
 
@@ -17,7 +15,6 @@ io::Json ScenarioStats::to_json() const {
   o["full_evaluations"] = full_evaluations.to_json();
   o["nodes_touched"] = nodes_touched.to_json();
   o["cells_touched"] = cells_touched.to_json();
-  o["incremental_ns"] = incremental_ns.to_json();
   o["full_ns"] = full_ns.to_json();
   o["batches"] = batches.to_json();
   o["batch_mutations"] = batch_mutations.to_json();
@@ -64,7 +61,7 @@ Scenario::Scenario(const Scenario& other)
       grid_built_(other.grid_built_),
       options_(other.options_),
       stats_(other.stats_) {
-  // batch_arena_ is deliberately fresh: scratch never travels with copies.
+  // The batch scratch is deliberately fresh: it never travels with copies.
 }
 
 Scenario& Scenario::operator=(const Scenario& other) {
@@ -107,50 +104,6 @@ void Scenario::ensure_cache() {
   ++stats_.full_evaluations;
 }
 
-bool Scenario::delta_deferred(geom::Vec2 center, double radius2) {
-  if (grid_.estimate_in_disk(center, std::sqrt(std::max(radius2, 0.0))) >
-      options_.touched_threshold(nodes_.size())) {
-    dirty_ = true;
-    ++stats_.deferred_mutations;
-    return true;
-  }
-  return false;
-}
-
-void Scenario::apply_disk_delta(NodeId u, geom::Vec2 center, double old_r2,
-                                double new_r2) {
-  if (dirty_) return;
-  if (old_r2 <= 0.0 && new_r2 <= 0.0) return;
-  if (delta_deferred(center, std::max(old_r2, new_r2))) return;
-  run_disk_delta(u, center, old_r2, new_r2);
-}
-
-void Scenario::run_disk_delta(NodeId exclude, geom::Vec2 center, double old_r2,
-                              double new_r2) {
-  // Un-deferred kernel: also runs on pool workers during apply_batch.
-  // Region-disjoint waves guarantee the interference_ writes never overlap;
-  // the stats counters are relaxed atomics.
-  const geom::DeltaResult r = geom::apply_disk_delta(
-      grid_, center, old_r2, new_r2, exclude, interference_.data());
-  stats_.cells_touched += r.cells;
-  stats_.nodes_touched += r.visited;
-}
-
-void Scenario::set_radius(NodeId u, double new_r2) {
-  const double old_r2 = nodes_.radius2(u);
-  if (old_r2 == new_r2) return;
-  apply_disk_delta(u, nodes_.position(u), old_r2, new_r2);
-  set_node_radius2(u, new_r2);
-  if (new_r2 > max_radius2_) {
-    max_radius2_ = new_r2;
-  } else if (old_r2 == max_radius2_ && new_r2 < old_r2) {
-    // The argmax node shrank: rescan. Rare (once per removal of the
-    // widest-reaching node), so the O(n) pass amortises away.
-    max_radius2_ = 0.0;
-    for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);
-  }
-}
-
 double Scenario::farthest_neighbor_squared(NodeId u) const {
   double best = 0.0;
   const geom::Vec2 p = nodes_.position(u);
@@ -160,163 +113,16 @@ double Scenario::farthest_neighbor_squared(NodeId u) const {
   return best;
 }
 
-std::uint32_t Scenario::recount_coverage(NodeId v) {
-  if (delta_deferred(nodes_.position(v), max_radius2_)) return 0;
-  return run_recount(v);
-}
-
-std::uint32_t Scenario::run_recount(NodeId v) {
-  // Un-deferred kernel: also runs on pool workers during apply_batch (pure
-  // reads of the frozen store; the caller owns interference_[v]). The grid
-  // weights mirror the radius column, so the coverage kernel needs no
-  // side lookups.
-  const geom::CoverageResult r =
-      geom::count_covering(grid_, nodes_.position(v), max_radius2_, v);
-  stats_.cells_touched += r.cells;
-  stats_.nodes_touched += r.visited;
-  return r.covered;
-}
-
-NodeId Scenario::add_node(geom::Vec2 position) {
-  ensure_grid();
-  const obs::ScopedTimer timer(stats_.incremental_ns);
-  const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.insert(id, position, 0.0);
-  adjacency_.emplace_back();
-  grid_.insert(id, position, 0.0);
-  if (!dirty_) {
-    const std::uint32_t covered = recount_coverage(id);
-    interference_.push_back(dirty_ ? 0u : covered);
-    if (!dirty_) ++stats_.incremental_updates;
-  } else {
-    interference_.push_back(0u);
-  }
-  return id;
-}
-
-NodeId Scenario::remove_node(NodeId v) {
-  assert(v < nodes_.size());
-  ensure_grid();
-  const obs::ScopedTimer timer(stats_.incremental_ns);
-  const std::size_t count_before = nodes_.size();
-  // Retire incident edges: each neighbor's disk shrinks to its new
-  // farthest neighbor, and v's own disk shrinks to nothing — after this,
-  // v no longer transmits and nobody's radius depends on it.
-  for (const NodeId w : adjacency_[v]) {
-    auto& aw = adjacency_[w];
-    aw.erase(std::find(aw.begin(), aw.end(), v));
-    --edge_count_;
-  }
-  const std::vector<NodeId> former_neighbors = std::move(adjacency_[v]);
-  adjacency_[v].clear();
-  set_radius(v, 0.0);
-  for (const NodeId w : former_neighbors) {
-    set_radius(w, farthest_neighbor_squared(w));
-  }
-  // Swap-with-last keeps ids dense: the last node takes over id v (columns
-  // compact in the store, the grid renames in place).
-  const auto last = static_cast<NodeId>(count_before - 1);
-  grid_.erase(v);
-  nodes_.remove(v);
-  NodeId renamed = kInvalidNode;
-  if (v != last) {
-    nodes_.relabel(last, v);
-    adjacency_[v] = std::move(adjacency_[last]);
-    for (NodeId w : adjacency_[v]) {
-      std::replace(adjacency_[w].begin(), adjacency_[w].end(), last, v);
-    }
-    grid_.relabel(last, v);
-    renamed = last;
-  }
-  if (interference_.size() == count_before) {
-    if (v != last) interference_[v] = interference_[last];
-    interference_.pop_back();
-  }
-  adjacency_.pop_back();
-  if (!dirty_) ++stats_.incremental_updates;
-  return renamed;
-}
-
-bool Scenario::add_edge(NodeId u, NodeId v) {
-  assert(u < nodes_.size() && v < nodes_.size());
-  if (u == v || has_edge(u, v)) return false;
-  ensure_grid();
-  const obs::ScopedTimer timer(stats_.incremental_ns);
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  ++edge_count_;
-  const double d2 = geom::dist2(nodes_.position(u), nodes_.position(v));
-  if (d2 > nodes_.radius2(u)) set_radius(u, d2);
-  if (d2 > nodes_.radius2(v)) set_radius(v, d2);
-  if (!dirty_) ++stats_.incremental_updates;
-  return true;
-}
-
-bool Scenario::remove_edge(NodeId u, NodeId v) {
-  assert(u < nodes_.size() && v < nodes_.size());
-  auto& au = adjacency_[u];
-  const auto it = std::find(au.begin(), au.end(), v);
-  if (it == au.end()) return false;
-  ensure_grid();
-  const obs::ScopedTimer timer(stats_.incremental_ns);
-  au.erase(it);
-  auto& av = adjacency_[v];
-  av.erase(std::find(av.begin(), av.end(), u));
-  --edge_count_;
-  set_radius(u, farthest_neighbor_squared(u));
-  set_radius(v, farthest_neighbor_squared(v));
-  if (!dirty_) ++stats_.incremental_updates;
-  return true;
-}
-
-void Scenario::move_node(NodeId v, geom::Vec2 position) {
-  assert(v < nodes_.size());
-  if (nodes_.position(v) == position) return;
-  ensure_grid();
-  const obs::ScopedTimer timer(stats_.incremental_ns);
-  // Retire the disk at the old position...
-  const double old_r2 = nodes_.radius2(v);
-  apply_disk_delta(v, nodes_.position(v), old_r2, 0.0);
-  set_node_radius2(v, 0.0);
-  if (old_r2 > 0.0 && old_r2 == max_radius2_) {
-    max_radius2_ = 0.0;
-    for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);
-  }
-  nodes_.set_position(v, position);
-  grid_.move(v, position);
-  // ...re-apply it at the new one, and re-derive every affected radius.
-  set_radius(v, farthest_neighbor_squared(v));
-  for (NodeId w : adjacency_[v]) set_radius(w, farthest_neighbor_squared(w));
-  // The node now sits inside a different set of disks.
-  if (!dirty_) {
-    const std::uint32_t covered = recount_coverage(v);
-    if (!dirty_) {
-      interference_[v] = covered;
-      ++stats_.incremental_updates;
-    }
-  }
+bool Scenario::apply_one(const Mutation& mutation) {
+  return apply_batch({&mutation, 1}, nullptr).applied != 0;
 }
 
 NodeId Scenario::apply(const Mutation& mutation) {
-  const std::size_t n = nodes_.size();
-  switch (mutation.kind) {
-    case Mutation::Kind::kAddNode:
-      return add_node(mutation.position);
-    case Mutation::Kind::kRemoveNode:
-      if (mutation.v >= n) return kInvalidNode;
-      return remove_node(mutation.v);
-    case Mutation::Kind::kAddEdge:
-      if (mutation.u >= n || mutation.v >= n) return kInvalidNode;
-      add_edge(mutation.u, mutation.v);
-      return kInvalidNode;
-    case Mutation::Kind::kRemoveEdge:
-      if (mutation.u >= n || mutation.v >= n) return kInvalidNode;
-      remove_edge(mutation.u, mutation.v);
-      return kInvalidNode;
-    case Mutation::Kind::kMoveNode:
-      if (mutation.v >= n) return kInvalidNode;
-      move_node(mutation.v, mutation.position);
-      return kInvalidNode;
+  const auto n = static_cast<NodeId>(nodes_.size());
+  if (!apply_one(mutation)) return kInvalidNode;
+  if (mutation.kind == Mutation::Kind::kAddNode) return n;
+  if (mutation.kind == Mutation::Kind::kRemoveNode && mutation.v != n - 1) {
+    return n - 1;
   }
   return kInvalidNode;
 }

@@ -31,25 +31,26 @@
 ///    leaving the two disks gain/lose one unit of interference.
 ///  - add_node: the newcomer transmits nothing yet; only its own I(v) is
 ///    counted (one coverage query).
-///  - remove_node: incident edges are retired one by one, then the id of
-///    the last node is swapped into the vacated slot (dense ids, O(degree)).
+///  - remove_node: the node's disk and its neighbors' shrinking disks are
+///    retired, then the id of the last node is swapped into the vacated
+///    slot (dense ids, O(degree)).
 ///  - move_node: the node's disk is retired at the old position and
 ///    re-applied at the new one; neighbor radii and its own coverage are
 ///    re-derived locally.
 ///
-/// Mutations also come reified as core::Mutation values, applied one at a
-/// time via apply() or — the batch pipeline — many at once via
-/// apply_batch(): one structural pass coalesces per-node disk changes, the
-/// surviving region deltas are grouped by grid-region conflict (disjoint
+/// Mutations are reified as core::Mutation values, and apply_batch() is
+/// the one executor: a point op (add_node, apply, ...) is a batch of one.
+/// One structural pass coalesces per-node disk changes, the surviving
+/// region deltas are grouped by grid-region conflict (disjoint
 /// affected-disk regions run concurrently on parallel::ThreadPool,
-/// conflicting ones serialize deterministically by batch index), and the
-/// result is bit-identical to applying the same mutations serially. The
-/// robustness property is what makes this sound: each delta is a commuting
-/// integer +-1 over its own disk region.
+/// conflicting ones serialize deterministically in task order), and the
+/// result is bit-identical to applying the same mutations one at a time.
+/// The robustness property is what makes this sound: each delta is a
+/// commuting integer +-1 over its own disk region.
 ///
-/// When a single delta would touch more than
-/// EvalOptions::max_touched_fraction of the instance (estimated from grid
-/// occupancy), the engine marks the cache dirty instead and the next query
+/// When the grid-occupancy estimate says a batch would touch more than
+/// EvalOptions::touched_threshold nodes in one task, or more than n in
+/// total, the engine marks the cache dirty instead and the next query
 /// performs one full evaluation through interference_vector_squared, the
 /// stateless evaluator, so adversarial giant disks degrade to the
 /// stateless cost, never worse.
@@ -171,14 +172,13 @@ struct Assessment {
 /// atomics — batch tasks on the thread pool record concurrently).
 struct ScenarioStats {
   obs::Counter incremental_updates;  ///< mutations applied as local deltas
-  obs::Counter deferred_mutations;   ///< deltas too large: cache invalidated
+  obs::Counter deferred_mutations;   ///< batches too large: cache invalidated
   obs::Counter full_evaluations;     ///< batched full recomputes
   obs::Counter nodes_touched;        ///< candidates visited by delta queries
   obs::Counter cells_touched;        ///< grid cells visited by delta queries
-  obs::Counter incremental_ns;       ///< time spent in delta maintenance
   obs::Counter full_ns;              ///< time spent in full recomputes
 
-  // Batch pipeline (apply_batch).
+  // Batch pipeline (apply_batch; a point op counts as a batch of one).
   obs::Counter batches;           ///< apply_batch calls
   obs::Counter batch_mutations;   ///< mutations applied through batches
   obs::Counter batch_disk_tasks;  ///< coalesced region deltas executed
@@ -229,48 +229,58 @@ class Scenario {
   Scenario& operator=(Scenario&&) noexcept = default;
 
   // --- mutations ---------------------------------------------------------
+  // Point ops are one-element batches (apply_batch without a pool).
+  // Mutations with out-of-range ids are skipped rather than asserting, so
+  // recorded traces replay safely.
 
   /// Append an isolated node at \p position, returning its id. The newcomer
   /// transmits nothing until an edge attaches it (radius 0), so existing
   /// interference values are untouched — the paper's robustness argument.
-  NodeId add_node(geom::Vec2 position);
+  NodeId add_node(geom::Vec2 position) {
+    return apply(Mutation::add_node(position));
+  }
 
   /// Remove node \p v and its incident edges. To keep ids dense, the
   /// current last node is renamed to \p v; returns that node's former id
   /// (or kInvalidNode when \p v was the last node already).
-  NodeId remove_node(NodeId v);
+  NodeId remove_node(NodeId v) { return apply(Mutation::remove_node(v)); }
 
   /// Add the undirected edge {u, v}; returns false (no change) if it
   /// already exists or u == v. Endpoint radii only ever grow.
-  bool add_edge(NodeId u, NodeId v);
+  bool add_edge(NodeId u, NodeId v) {
+    return apply_one(Mutation::add_edge(u, v));
+  }
 
   /// Remove the edge {u, v} if present; endpoint radii shrink to the new
   /// farthest neighbor. Returns whether the edge existed.
-  bool remove_edge(NodeId u, NodeId v);
+  bool remove_edge(NodeId u, NodeId v) {
+    return apply_one(Mutation::remove_edge(u, v));
+  }
 
   /// Move node \p v to \p position: its disk is re-applied there, neighbor
   /// radii are re-derived, and its own coverage is recounted. Moving a node
-  /// to its current position is a strict no-op (no cache invalidation, no
-  /// stats increment).
-  void move_node(NodeId v, geom::Vec2 position);
+  /// to its current position changes nothing (no cache invalidation, no
+  /// applied mutation).
+  void move_node(NodeId v, geom::Vec2 position) {
+    apply_one(Mutation::move_node(v, position));
+  }
 
   /// Apply one reified mutation. Returns the new node's id for kAddNode,
   /// the renamed id for kRemoveNode (as remove_node), kInvalidNode
-  /// otherwise. Mutations with out-of-range ids are skipped (returning
-  /// kInvalidNode) rather than asserting, so recorded traces replay safely.
+  /// otherwise.
   NodeId apply(const Mutation& mutation);
 
-  /// Apply a whole mutation batch, semantically identical to calling
-  /// apply() on each element in order, but pipelined: one serial structural
+  /// Apply a whole mutation batch, semantically identical to applying its
+  /// elements one at a time, but pipelined: one serial structural
   /// pass coalesces all radius/position changes per node, then the
   /// surviving disk deltas are grouped into conflict-free waves (disjoint
   /// affected regions, by bounding-box test; conflicting deltas land in
-  /// later waves in batch-index order). The waves run on \p pool when it
+  /// later waves in task order). The waves run on \p pool when it
   /// has more than one worker and inline otherwise (nullptr included); the
   /// schedule, the BatchResult, and the resulting state are the same either
   /// way. Falls back to one deferred full evaluation when the batch's region
   /// estimate exceeds the EvalOptions thresholds. Results are bit-identical
-  /// to the serial path (and hence to the kBrute oracle) either way.
+  /// to the kBrute oracle either way.
   /// \p hooks, when non-null, is consulted at every fault point
   /// (BatchHooks); production callers pass nullptr.
   BatchResult apply_batch(std::span<const Mutation> batch,
@@ -292,10 +302,10 @@ class Scenario {
   /// Replace this scenario's entire state with \p snapshot. The snapshot is
   /// validated first (validate()); on failure returns false, fills
   /// \p error when non-null, and leaves the scenario untouched. The grid is
-  /// rebuilt from the stored cell size by inserting ids in order — cell
-  /// bucket ordering may differ from the donor's, which is unobservable
-  /// through any query. Stats counters are preserved (monotone
-  /// observability), except restores which increments.
+  /// bulk-built from the stored cell size (geom::DynamicGrid::build) —
+  /// cell bucket ordering may differ from the donor's, which is
+  /// unobservable through any query. Stats counters are preserved
+  /// (monotone observability), except restores which increments.
   [[nodiscard]] bool restore(const Snapshot& snapshot,
                              std::string* error = nullptr);
 
@@ -354,23 +364,26 @@ class Scenario {
   [[nodiscard]] io::Json stats_json() const;
 
  private:
+  /// One node touched by the running apply_batch, keyed by its current id
+  /// (re-keyed across swap-with-last renames; kInvalidNode once removed),
+  /// with the disk it had before the batch.
+  struct TouchedNode {
+    NodeId id = kInvalidNode;
+    geom::Vec2 orig_pos{};
+    double orig_r2 = 0.0;
+    bool existed = false;  ///< present before the batch (has a disk to retire)
+    bool recount = false;  ///< added or moved: final I(v) needs a recount
+  };
+
+  /// A point op: apply_batch over just \p mutation, without a pool.
+  /// Returns whether it changed state.
+  bool apply_one(const Mutation& mutation);
   void ensure_grid();
   void ensure_cache();
-  [[nodiscard]] bool delta_deferred(geom::Vec2 center, double radius2);
-  void apply_disk_delta(NodeId u, geom::Vec2 center, double old_r2,
-                        double new_r2);
-  /// The un-deferred kernel shared by the serial path and batch tasks:
-  /// +-1 over the symmetric difference of the old and new disks.
-  void run_disk_delta(NodeId exclude, geom::Vec2 center, double old_r2,
-                      double new_r2);
-  void set_radius(NodeId u, double new_r2);
   /// Write-through radius update: the store column and (when built) the
   /// grid's coverage weight stay in lockstep.
   void set_node_radius2(NodeId u, double new_r2);
   [[nodiscard]] double farthest_neighbor_squared(NodeId u) const;
-  [[nodiscard]] std::uint32_t recount_coverage(NodeId v);
-  /// The un-deferred recount shared by the serial path and batch tasks.
-  [[nodiscard]] std::uint32_t run_recount(NodeId v);
 
   /// SoA node store: x/y/r^2/id columns with id == slot (dense ids).
   NodeSoA nodes_;
@@ -392,6 +405,13 @@ class Scenario {
   /// reused across batches (allocation-free in steady state). Deliberately
   /// not copied — probe copies never carry scratch.
   common::Arena batch_arena_;
+  /// The nodes the running batch touched (scratch, not copied).
+  std::vector<TouchedNode> batch_touched_;
+  /// batch_mark_[id] = 1 + the index of id's batch_touched_ entry, 0 when
+  /// untouched. All zero between batches — each batch clears exactly the
+  /// ids it marked — so a batch costs nothing per untouched id. Scratch,
+  /// not copied.
+  std::vector<std::uint32_t> batch_mark_;
 };
 
 }  // namespace rim::core

@@ -1,29 +1,29 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "rim/core/scenario.hpp"
+#include "rim/geom/grid_kernels.hpp"
 #include "rim/parallel/thread_pool.hpp"
 
 /// \file scenario_batch.cpp
-/// Scenario::apply_batch — the parallel batch pipeline.
+/// Scenario::apply_batch — the engine's one mutation executor. Point ops
+/// (Scenario::add_node, apply, ...) are batches of one.
 ///
 /// Semantics: identical, bit for bit, to applying the batch's mutations one
-/// at a time with Scenario::apply(). The pipeline exploits that the final
-/// interference vector is a pure function of the final configuration
-/// (containment tests are exact and contributions are commuting integer
-/// +-1s — the robustness property of the model), so intermediate states
-/// never need to materialise:
+/// at a time. The pipeline exploits that the final interference vector is a
+/// pure function of the final configuration (containment tests are exact
+/// and contributions are commuting integer +-1s — the robustness property
+/// of the model), so intermediate states never need to materialise:
 ///
 ///  1. One serial *structural pass* applies all topology/position changes
 ///     (adjacency, store columns, radii, grid, swap-with-last renames,
-///     cached interference slots) while coalescing, per surviving physical
-///     node, its pre-batch disk vs. its final disk, and collecting the
-///     pre-batch disks of removed nodes.
+///     cached interference slots) while recording, per touched physical
+///     node, its pre-batch disk, and collecting the pre-batch disks of
+///     removed nodes.
 ///  2. The surviving *disk tasks* (one or two region deltas per changed
 ///     transmitter) are scheduled into waves of pairwise AABB-disjoint
-///     regions — greedy first-fit in batch order, so the schedule is a
+///     regions — greedy first-fit in task order, so the schedule is a
 ///     deterministic function of the batch. Each wave runs concurrently on
 ///     the thread pool when the pool has more than one worker (disjoint
 ///     regions mean disjoint interference_ writes, no atomics needed) and
@@ -32,20 +32,26 @@
 ///     added or moved node (each owns its slot; everything else is frozen
 ///     reads), overwriting any stale deltas phase 2 wrote there.
 ///
-/// All pipeline scratch — the pending-node table, task and recount lists,
+/// The pass tracks touched nodes sparsely: a list of TouchedNode entries
+/// plus a per-id mark (1 + entry index) that is zero between batches, so
+/// a batch costs O(its own work), not O(n) — only a shrinking maximum
+/// radius triggers a scan of the radius column. Task order is removed
+/// disks first (batch order), then the touched nodes in ascending final
+/// id; BatchResult::waves and the service's wire bytes depend on it.
+///
+/// The remaining pipeline scratch — removed disks, task and recount lists,
 /// the wave schedule and its materialised execution orders — lives in the
 /// scenario's batch arena (common::Arena): bump-allocated per batch, reset
 /// wholesale at the next one, allocation-free in steady state. Wave task
 /// lambdas capture only raw pointers into the arena (see the
-/// wave-vector-scratch lint rule); bounds are exact: pending entries are
-/// keyed by node id (< n0 + batch size), removed disks number at most the
-/// batch size, and tasks at most removed + 2 * pending.
+/// wave-vector-scratch lint rule); bounds are exact: removed disks number
+/// at most the batch size, and tasks at most removed + 2 * touched.
 ///
 /// When the grid-occupancy estimate says the batch's regions cover more of
-/// the instance than a full evaluation would (per-task over the
+/// the instance than a full evaluation would (per task over the
 /// EvalOptions::touched_threshold, or in total over n), the pipeline marks
 /// the cache dirty instead and the next query performs one sharded full
-/// evaluation — the same fallback the serial path uses, batched.
+/// evaluation.
 
 namespace rim::core {
 
@@ -56,15 +62,6 @@ namespace {
 /// work.
 constexpr std::size_t kMinParallelTasks = 4;
 
-/// Per-physical-node coalesced state, keyed by *current* id and re-keyed
-/// across swap-with-last renames. Trivially destructible (arena-resident).
-struct PendingNode {
-  geom::Vec2 orig_pos{};
-  double orig_r2 = 0.0;
-  bool existed = false;  ///< present before the batch (has a disk to retire)
-  bool recount = false;  ///< added or moved: final I(v) needs a recount
-};
-
 /// One coalesced region delta: remove the disk (center, old_r2) and apply
 /// (center, new_r2), skipping slot `exclude`. Trivially destructible
 /// (arena-resident).
@@ -73,10 +70,15 @@ struct DiskTask {
   geom::Vec2 center{};
   double old_r2 = 0.0;
   double new_r2 = 0.0;
+  /// Radius of the region the task touches, set once the task list is
+  /// complete (phase 3) and read by the conflict tests.
+  double reach = 0.0;
+};
 
-  [[nodiscard]] double query_radius() const {
-    return std::sqrt(std::max({old_r2, new_r2, 0.0}));
-  }
+/// Grid work of a run of tasks: candidates and cells visited.
+struct GridWork {
+  std::uint64_t nodes = 0;
+  std::uint64_t cells = 0;
 };
 
 /// Arena-resident singly linked list node of one wave's task indices.
@@ -96,7 +98,7 @@ struct WaveList {
 /// intersect (superset of disk intersection, cheap and exact-arithmetic
 /// free of false negatives).
 bool tasks_conflict(const DiskTask& a, const DiskTask& b) {
-  const double reach = a.query_radius() + b.query_radius();
+  const double reach = a.reach + b.reach;
   return std::abs(a.center.x - b.center.x) <= reach &&
          std::abs(a.center.y - b.center.y) <= reach;
 }
@@ -126,26 +128,25 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   batch_arena_.reset();
 
   // ---- 1. Serial structural pass --------------------------------------
-  // Pending state is keyed directly by node id: ids stay below
-  // n0 + batch size (every add raises the ceiling by one), so a flat
-  // arena table replaces the former hash map.
+  // Ids stay below n0 + batch size (every add raises the ceiling by one).
   const std::size_t id_cap = nodes_.size() + batch.size();
-  PendingNode* pending = batch_arena_.alloc_array<PendingNode>(id_cap);
-  std::uint8_t* has_pending = batch_arena_.alloc_array<std::uint8_t>(id_cap);
-  if (id_cap > 0) std::memset(has_pending, 0, id_cap);
+  if (batch_mark_.size() < id_cap) batch_mark_.resize(id_cap, 0);
+  batch_touched_.clear();
   // Pre-batch disks of removed nodes: at most one per removal.
   DiskTask* removed_disks = batch_arena_.alloc_array<DiskTask>(batch.size());
   std::size_t removed_count = 0;
   bool rescan_max = false;
 
+  const auto touch = [&](NodeId id, TouchedNode node) -> TouchedNode& {
+    batch_touched_.push_back(node);
+    batch_mark_[id] = static_cast<std::uint32_t>(batch_touched_.size());
+    return batch_touched_.back();
+  };
   // First touch of a node this batch captures its pre-batch disk.
-  const auto note = [&](NodeId id) -> PendingNode& {
-    if (has_pending[id] == 0) {
-      pending[id] =
-          PendingNode{nodes_.position(id), nodes_.radius2(id), true, false};
-      has_pending[id] = 1;
-    }
-    return pending[id];
+  const auto note = [&](NodeId id) -> TouchedNode& {
+    if (batch_mark_[id] != 0) return batch_touched_[batch_mark_[id] - 1];
+    return touch(id, {id, nodes_.position(id), nodes_.radius2(id), true,
+                      false});
   };
   const auto change_radius = [&](NodeId id, double new_r2) {
     const double cur_r2 = nodes_.radius2(id);
@@ -177,8 +178,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
         adjacency_.emplace_back();
         if (grid_built_) grid_.insert(id, m.position, 0.0);
         if (!was_dirty) interference_.push_back(0u);
-        pending[id] = PendingNode{m.position, 0.0, false, true};
-        has_pending[id] = 1;
+        touch(id, {id, m.position, 0.0, false, true});
         ++result.applied;
         break;
       }
@@ -198,12 +198,14 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
         }
         // Retire the node's *pre-batch* disk (its only applied
         // contribution); a node added this batch never contributed.
-        if (has_pending[v] != 0) {
-          if (pending[v].existed && pending[v].orig_r2 > 0.0) {
-            removed_disks[removed_count++] = {kInvalidNode, pending[v].orig_pos,
-                                              pending[v].orig_r2, 0.0};
+        if (batch_mark_[v] != 0) {
+          TouchedNode& gone = batch_touched_[batch_mark_[v] - 1];
+          if (gone.existed && gone.orig_r2 > 0.0) {
+            removed_disks[removed_count++] = {kInvalidNode, gone.orig_pos,
+                                              gone.orig_r2, 0.0};
           }
-          has_pending[v] = 0;
+          gone.id = kInvalidNode;
+          batch_mark_[v] = 0;
         }
         const auto last = static_cast<NodeId>(n - 1);
         grid_.erase(v);
@@ -215,10 +217,10 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
             std::replace(adjacency_[w].begin(), adjacency_[w].end(), last, v);
           }
           grid_.relabel(last, v);
-          if (has_pending[last] != 0) {
-            pending[v] = pending[last];
-            has_pending[v] = 1;
-            has_pending[last] = 0;
+          if (batch_mark_[last] != 0) {
+            batch_touched_[batch_mark_[last] - 1].id = v;
+            batch_mark_[v] = batch_mark_[last];
+            batch_mark_[last] = 0;
           }
         }
         if (!was_dirty && interference_.size() == n) {
@@ -258,8 +260,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       case Mutation::Kind::kMoveNode: {
         if (m.v >= n) break;
         if (nodes_.position(m.v) == m.position) break;  // strict no-op
-        PendingNode& p = note(m.v);
-        p.recount = true;
+        note(m.v).recount = true;
         nodes_.set_position(m.v, m.position);
         grid_.move(m.v, m.position);
         change_radius(m.v, farthest_neighbor_squared(m.v));
@@ -271,6 +272,19 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       }
     }
   }
+  // The surviving touched nodes in ascending final id; clearing their
+  // marks restores the all-zero mark invariant for the next batch.
+  std::size_t touched_count = 0;
+  for (const TouchedNode& node : batch_touched_) {
+    if (node.id == kInvalidNode) continue;
+    batch_mark_[node.id] = 0;
+    batch_touched_[touched_count++] = node;
+  }
+  batch_touched_.resize(touched_count);
+  std::sort(batch_touched_.begin(), batch_touched_.end(),
+            [](const TouchedNode& a, const TouchedNode& b) {
+              return a.id < b.id;
+            });
   ensure_grid();
   if (rescan_max) {
     max_radius2_ = 0.0;
@@ -295,23 +309,17 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
 
   // ---- 2. Coalesce the surviving region deltas ------------------------
   // Deterministic task order: removed disks first (batch order), then
-  // ascending final id — pending lives in an id-indexed table, so the scan
-  // is already sorted. Exact bound: <= removed + 2 per pending node.
-  std::size_t pending_count = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (has_pending[id] != 0) ++pending_count;
-  }
-  DiskTask* tasks = batch_arena_.alloc_array<DiskTask>(
-      removed_count + 2 * pending_count);
+  // ascending final id. Exact bound: <= removed + 2 per touched node.
+  DiskTask* tasks =
+      batch_arena_.alloc_array<DiskTask>(removed_count + 2 * touched_count);
   std::size_t task_count = 0;
   for (std::size_t i = 0; i < removed_count; ++i) {
     tasks[task_count++] = removed_disks[i];
   }
-  NodeId* recounts = batch_arena_.alloc_array<NodeId>(pending_count);
+  NodeId* recounts = batch_arena_.alloc_array<NodeId>(touched_count);
   std::size_t recount_count = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (has_pending[id] == 0) continue;
-    const PendingNode& p = pending[id];
+  for (const TouchedNode& p : batch_touched_) {
+    const NodeId id = p.id;
     const geom::Vec2 new_pos = nodes_.position(id);
     const double new_r2 = nodes_.radius2(id);
     if (p.existed && p.orig_pos == new_pos) {
@@ -341,8 +349,9 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   std::size_t estimated = 0;
   bool defer = false;
   for (std::size_t i = 0; i < task_count; ++i) {
-    const std::size_t est =
-        grid_.estimate_in_disk(tasks[i].center, tasks[i].query_radius());
+    DiskTask& task = tasks[i];
+    task.reach = std::sqrt(std::max({task.old_r2, task.new_r2, 0.0}));
+    const std::size_t est = grid_.estimate_in_disk(task.center, task.reach);
     if (est > threshold) defer = true;
     estimated += est;
   }
@@ -365,15 +374,29 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   // and interleaving, as long as no two concurrent tasks write the same
   // slot — which the AABB-disjoint waves guarantee.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 0;
+  // Grid work is summed per inline run or per pool chunk and reaches the
+  // shared (relaxed atomic) counters once per sum, not once per task.
+  const auto record = [this](const GridWork& work) {
+    stats_.nodes_touched += work.nodes;
+    stats_.cells_touched += work.cells;
+  };
+  GridWork inline_work;
   // Hooks veto individual tasks (poisoned-wave faults). The veto is decided
-  // from immutable state, so calling it from pool workers is safe.
-  const auto run_task = [&](std::size_t wave_idx, std::size_t task_idx) {
+  // from immutable state, so calling it from pool workers is safe. The
+  // delta kernel also runs on pool workers: region-disjoint waves
+  // guarantee its interference_ writes never overlap.
+  const auto run_task = [&](std::size_t wave_idx, std::size_t task_idx,
+                            GridWork& work) {
     if (hooks != nullptr && !hooks->before_disk_task(wave_idx, task_idx)) {
       ++stats_.hook_skipped_tasks;
       return;
     }
     const DiskTask& t = tasks[task_idx];
-    run_disk_delta(t.exclude, t.center, t.old_r2, t.new_r2);
+    const geom::DeltaResult r =
+        geom::apply_disk_delta(grid_, t.center, t.old_r2, t.new_r2,
+                               t.exclude, interference_.data());
+    work.nodes += r.visited;
+    work.cells += r.cells;
   };
   // Greedy first-fit in task order: each task lands in the earliest wave
   // whose members it conflicts with none of. Purely a function of the
@@ -431,7 +454,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     stats_.batch_wave_tasks.record(wave_size);
     if (workers <= 1 || wave_size < kMinParallelTasks) {
       for (std::size_t k = 0; k < wave_size; ++k) {
-        run_task(wave_idx, wave_order[k]);
+        run_task(wave_idx, wave_order[k], inline_work);
       }
       return;
     }
@@ -442,10 +465,12 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       const std::size_t begin = c * per;
       const std::size_t end = std::min(begin + per, wave_size);
       if (begin >= end) break;
-      pool->submit([&run_task, wave_order, wave_idx, begin, end] {
+      pool->submit([&run_task, &record, wave_order, wave_idx, begin, end] {
+        GridWork work;
         for (std::size_t k = begin; k < end; ++k) {
-          run_task(wave_idx, wave_order[k]);
+          run_task(wave_idx, wave_order[k], work);
         }
+        record(work);
       });
     }
     pool->wait_idle();
@@ -458,14 +483,20 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
 
   // ---- 5. Recount wave ------------------------------------------------
   // Every recount owns its own interference_ slot and only reads the now
-  // frozen store/grid, so the whole set is one parallel wave.
-  const auto run_recount_task = [&](std::size_t k) {
+  // frozen store/grid, so the whole set is one parallel wave. The grid
+  // weights mirror the radius column, so the coverage kernel needs no side
+  // lookups.
+  const auto run_recount_task = [&](std::size_t k, GridWork& work) {
     if (hooks != nullptr && !hooks->before_recount(k)) {
       ++stats_.hook_skipped_tasks;
       return;
     }
     const NodeId id = recounts[k];
-    interference_[id] = run_recount(id);
+    const geom::CoverageResult r =
+        geom::count_covering(grid_, nodes_.position(id), max_radius2_, id);
+    interference_[id] = r.covered;
+    work.nodes += r.visited;
+    work.cells += r.cells;
   };
   if (workers > 1 && recount_count >= kMinParallelTasks) {
     const std::size_t chunks = std::min(recount_count, workers * 2);
@@ -474,14 +505,19 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       const std::size_t begin = c * per;
       const std::size_t end = std::min(begin + per, recount_count);
       if (begin >= end) break;
-      pool->submit([&run_recount_task, begin, end] {
-        for (std::size_t k = begin; k < end; ++k) run_recount_task(k);
+      pool->submit([&run_recount_task, &record, begin, end] {
+        GridWork work;
+        for (std::size_t k = begin; k < end; ++k) run_recount_task(k, work);
+        record(work);
       });
     }
     pool->wait_idle();
   } else {
-    for (std::size_t k = 0; k < recount_count; ++k) run_recount_task(k);
+    for (std::size_t k = 0; k < recount_count; ++k) {
+      run_recount_task(k, inline_work);
+    }
   }
+  record(inline_work);
   stats_.incremental_updates += result.applied;
   return result;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "rim/core/assessor.hpp"
@@ -12,6 +13,7 @@
 #include "rim/sim/rng.hpp"
 #include "rim/sim/workload.hpp"
 #include "rim/topology/mst_topology.hpp"
+#include "rim/topology/nearest_neighbor_forest.hpp"
 
 /// Tests for the parallel batch pipeline (Scenario::apply_batch) and the
 /// unified impact assessor (core::Assessor). The contract under test is
@@ -534,6 +536,123 @@ TEST(ApplyBatch, ResultIsIdenticalForEveryPoolSize) {
   EXPECT_EQ(no_pool.stats().batch_waves, four_workers.stats().batch_waves);
   EXPECT_EQ(no_pool.stats().batch_disk_tasks,
             four_workers.stats().batch_disk_tasks);
+}
+
+// --- golden schedule -------------------------------------------------------
+// The BatchResult of a fixed, seeded stream is pinned: applied, disk_tasks,
+// recounts, waves and deferred depend on the structural pass's task order
+// (removed disks first, then ascending final id), which the wave schedule,
+// the service's batch replies and their wire bytes all inherit. The stream
+// exercises the renaming paths: removals that rename nodes already touched
+// in the same batch (moved ones and ones added in the batch), add-then-
+// remove of one arrival, and one long edge that forces a deferral.
+
+/// One golden batch against \p reference's current state. Removals come
+/// last, so every id the batch names before them is a pre-batch id or an
+/// arrival of this batch.
+std::vector<Mutation> make_golden_batch(Scenario& reference, sim::Rng& rng,
+                                        double side, bool long_edge) {
+  std::vector<Mutation> batch;
+  const auto n = static_cast<NodeId>(reference.node_count());
+  const auto clamp = [side](double x) {
+    return x < 0.0 ? 0.0 : (x > side ? side : x);
+  };
+  const auto jitter = [&](geom::Vec2 p) {
+    return geom::Vec2{clamp(p.x + rng.uniform(-0.3, 0.3)),
+                      clamp(p.y + rng.uniform(-0.3, 0.3))};
+  };
+  const auto random_id = [&] { return static_cast<NodeId>(rng.next_below(n)); };
+  // Moves: random nodes plus the two highest ids, which the removals below
+  // rename.
+  std::vector<NodeId> moved;
+  for (int i = 0; i < 10; ++i) moved.push_back(random_id());
+  moved.push_back(n - 1);
+  moved.push_back(n - 2);
+  for (const NodeId v : moved) {
+    batch.push_back(Mutation::move_node(v, jitter(reference.position(v))));
+  }
+  // Edge flips toward the nearest neighbor.
+  for (int i = 0; i < 8; ++i) {
+    const NodeId u = random_id();
+    const NodeId w = reference.nearest_node(reference.position(u), u);
+    batch.push_back(rng.next_double() < 0.5 ? Mutation::add_edge(u, w)
+                                            : Mutation::remove_edge(u, w));
+  }
+  if (long_edge) {
+    batch.push_back(Mutation::add_edge(reference.nearest_node({0.0, 0.0}),
+                                       reference.nearest_node({side, side})));
+  }
+  // Arrival A (id n) stays; arrival B (id n + 1) is added and removed.
+  const NodeId anchor_a = random_id();
+  batch.push_back(Mutation::add_node(jitter(reference.position(anchor_a))));
+  batch.push_back(Mutation::add_edge(n, anchor_a));
+  const NodeId anchor_b = random_id();
+  batch.push_back(Mutation::add_node(jitter(reference.position(anchor_b))));
+  batch.push_back(Mutation::add_edge(n + 1, anchor_b));
+  batch.push_back(Mutation::remove_node(n + 1));
+  // Arrival C (id n + 1) is renamed into moved[0]'s slot, A into
+  // moved[1]'s, and the moved node n - 1 into moved[2]'s; the renamed A is
+  // moved again afterwards.
+  const NodeId anchor_c = random_id();
+  batch.push_back(Mutation::add_node(jitter(reference.position(anchor_c))));
+  batch.push_back(Mutation::add_edge(n + 1, anchor_c));
+  batch.push_back(Mutation::remove_node(moved[0]));
+  batch.push_back(Mutation::remove_node(moved[1]));
+  batch.push_back(Mutation::move_node(moved[1], jitter(reference.position(
+                                                    anchor_a))));
+  batch.push_back(Mutation::remove_node(moved[2]));
+  return batch;
+}
+
+struct GoldenRow {
+  std::size_t applied;
+  std::size_t disk_tasks;
+  std::size_t recounts;
+  std::size_t waves;
+  bool deferred;
+};
+
+TEST(ApplyBatch, GoldenScheduleOnNnf4096) {
+  const std::size_t n = 4096;
+  const double side = std::sqrt(static_cast<double>(n) / 12.5);
+  const geom::PointSet points = sim::uniform_square(n, side, 4096);
+  const graph::Graph nnf = topology::nearest_neighbor_forest(points);
+  Scenario inline_batch(points, nnf);
+  (void)inline_batch.interference();
+  Scenario pooled_batch = inline_batch;
+  parallel::ThreadPool pool(4);
+  sim::Rng rng(0x601de2u);
+  std::vector<GoldenRow> rows;
+  for (int round = 0; round < 8; ++round) {
+    const std::vector<Mutation> batch =
+        make_golden_batch(inline_batch, rng, side, round == 6);
+    const BatchResult r = inline_batch.apply_batch(batch, nullptr);
+    const BatchResult pooled = pooled_batch.apply_batch(batch, &pool);
+    expect_results_equal(r, pooled, "inline vs pooled");
+    rows.push_back({r.applied, r.disk_tasks, r.recounts, r.waves, r.deferred});
+    // Round 6 defers; round 7 then starts on a dirty cache.
+    if (round != 6) {
+      (void)inline_batch.interference();
+      (void)pooled_batch.interference();
+    }
+  }
+  // Recorded with the dense id-indexed pending table that the sparse
+  // touched list replaced, so equal rows pin the task order.
+  const std::vector<GoldenRow> golden = {
+      {24, 37, 11, 4, false}, {28, 46, 11, 5, false}, {28, 41, 11, 4, false},
+      {29, 43, 11, 3, false}, {28, 39, 11, 6, false}, {28, 47, 11, 4, false},
+      {31, 51, 11, 0, true},  {28, 0, 0, 0, true},
+  };
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(rows[i].applied, golden[i].applied) << "round " << i;
+    EXPECT_EQ(rows[i].disk_tasks, golden[i].disk_tasks) << "round " << i;
+    EXPECT_EQ(rows[i].recounts, golden[i].recounts) << "round " << i;
+    EXPECT_EQ(rows[i].waves, golden[i].waves) << "round " << i;
+    EXPECT_EQ(rows[i].deferred, golden[i].deferred) << "round " << i;
+  }
+  expect_scenarios_identical(inline_batch, pooled_batch, "inline vs pooled");
+  expect_matches_brute(inline_batch, "inline vs brute");
 }
 
 // --- Assessor::assess ----------------------------------------------------

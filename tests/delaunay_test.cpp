@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
-#include "rim/geom/convex_hull.hpp"
 #include "rim/geom/delaunay.hpp"
 #include "rim/graph/connectivity.hpp"
 #include "rim/graph/mst.hpp"
@@ -14,38 +13,25 @@
 namespace rim::geom {
 namespace {
 
-TEST(ConvexHull, Square) {
-  const PointSet points{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}};
-  const auto hull = convex_hull(points);
-  EXPECT_EQ(hull.size(), 4u);
-  // CCW from the lexicographic minimum (0,0).
-  EXPECT_EQ(hull[0], 0u);
-  EXPECT_EQ(std::set<NodeId>(hull.begin(), hull.end()),
-            (std::set<NodeId>{0, 1, 2, 3}));
-}
-
-TEST(ConvexHull, CollinearPointsReduceToExtremes) {
-  const PointSet points{{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  const auto hull = convex_hull(points);
-  ASSERT_EQ(hull.size(), 2u);
-  EXPECT_EQ(hull[0], 0u);
-  EXPECT_EQ(hull[1], 3u);
-}
-
-TEST(ConvexHull, DuplicatesAndTiny) {
-  EXPECT_EQ(convex_hull(PointSet{{1, 1}}).size(), 1u);
-  EXPECT_EQ(convex_hull(PointSet{{1, 1}, {1, 1}}).size(), 1u);
-  EXPECT_EQ(convex_hull(PointSet{}).size(), 0u);
-}
-
-TEST(ConvexHull, ContainsAllInputPoints) {
-  const auto points = sim::uniform_square(200, 3.0, 11);
-  const auto hull = convex_hull(points);
-  for (const Vec2& p : points) {
-    EXPECT_TRUE(hull_contains(points, hull, p));
+/// Vertices of the convex hull of \p points, collinear ones excluded
+/// (Andrew's monotone chain).
+std::size_t hull_vertex_count(PointSet points) {
+  std::sort(points.begin(), points.end());
+  std::vector<Vec2> hull(2 * points.size());
+  std::size_t k = 0;
+  const auto turns_right = [&](Vec2 c) {
+    return cross(hull[k - 1] - hull[k - 2], c - hull[k - 2]) <= 0.0;
+  };
+  for (const Vec2& p : points) {  // lower hull
+    while (k >= 2 && turns_right(p)) --k;
+    hull[k++] = p;
   }
-  EXPECT_FALSE(hull_contains(points, hull, {-1.0, -1.0}));
-  EXPECT_FALSE(hull_contains(points, hull, {4.0, 4.0}));
+  const std::size_t lower = k + 1;
+  for (auto it = points.rbegin() + 1; it != points.rend(); ++it) {  // upper
+    while (k >= lower && turns_right(*it)) --k;
+    hull[k++] = *it;
+  }
+  return k - 1;  // the last point repeats the first
 }
 
 TEST(InCircumcircle, UnitCircleCases) {
@@ -82,8 +68,9 @@ TEST_P(DelaunayProperties, SatisfiesEulerFormula) {
   const Delaunay del(points);
   const std::size_t n = points.size();
   EXPECT_EQ(del.edges().edge_count(), n + del.triangles().size() - 1);
-  // And h from the convex hull bounds the triangle count from both sides.
-  const std::size_t h = convex_hull(points).size();
+  // And h, the number of convex hull vertices, bounds the triangle count
+  // from both sides.
+  const std::size_t h = hull_vertex_count(points);
   EXPECT_LE(del.triangles().size(), 2 * n - 2 - h);
   EXPECT_GE(del.triangles().size() + 2, 2 * n - 2 - h - n / 10);
 }

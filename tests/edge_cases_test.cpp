@@ -8,7 +8,6 @@
 #include "rim/core/interference.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/sender_centric.hpp"
-#include "rim/geom/convex_hull.hpp"
 #include "rim/geom/grid_index.hpp"
 #include "rim/graph/connectivity.hpp"
 #include "rim/graph/mst.hpp"
@@ -185,15 +184,6 @@ TEST(RegistryInterferenceOrdering, RngNeverAboveGabriel) {
               core::graph_interference(gabriel->build(points, udg), points))
         << seed;
   }
-}
-
-TEST(ConvexHull, HullOfHullIsIdempotent) {
-  const auto points = sim::uniform_square(150, 3.0, 12);
-  const auto hull = geom::convex_hull(points);
-  geom::PointSet hull_points;
-  for (NodeId id : hull) hull_points.push_back(points[id]);
-  const auto hull2 = geom::convex_hull(hull_points);
-  EXPECT_EQ(hull2.size(), hull.size());
 }
 
 TEST(GridIndexSquared, MatchesLinearRadiusQueries) {

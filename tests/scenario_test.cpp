@@ -227,6 +227,45 @@ TEST(Scenario, StatsJsonExposesCounters) {
 /// assessor: one arrival under nearest-neighbor attachment increases any
 /// pre-existing node's interference by at most 2 (its own disk plus the
 /// attachment partner's enlarged disk).
+TEST(Scenario, PointOpsAreOneElementBatches) {
+  // Every point op is one apply_batch call: it counts in the batch
+  // counters, and apply() derives its return value from the batch result.
+  const auto points = sim::uniform_square(300, 4.9, 37);
+  Scenario scenario(points, topology::nearest_neighbor_forest(points));
+  (void)scenario.interference();
+  const auto n = static_cast<NodeId>(points.size());
+  const NodeId id = scenario.add_node({2.0, 2.0});
+  ASSERT_EQ(id, n);
+  const NodeId partner = scenario.nearest_node({2.0, 2.0}, id);
+  EXPECT_TRUE(scenario.add_edge(id, partner));
+  EXPECT_FALSE(scenario.add_edge(id, partner));  // already present
+  EXPECT_FALSE(scenario.add_edge(id, id));
+  scenario.move_node(id, {2.1, 2.0});
+  scenario.move_node(id, {2.1, 2.0});  // no-op
+  EXPECT_TRUE(scenario.remove_edge(id, partner));
+  EXPECT_FALSE(scenario.remove_edge(id, partner));
+  EXPECT_TRUE(scenario.add_edge(id, partner));
+  // Out-of-range ids are skipped.
+  EXPECT_EQ(scenario.apply(Mutation::remove_node(n + 5)), kInvalidNode);
+  EXPECT_EQ(scenario.apply(Mutation::move_node(n + 5, {0.0, 0.0})),
+            kInvalidNode);
+  EXPECT_EQ(scenario.node_count(), points.size() + 1);
+  // Removing node 3 renames the newcomer (the last id) into slot 3.
+  EXPECT_EQ(scenario.remove_node(3), id);
+  EXPECT_EQ(scenario.position(3), (geom::Vec2{2.1, 2.0}));
+  EXPECT_EQ(scenario.remove_node(static_cast<NodeId>(n - 1)), kInvalidNode);
+  EXPECT_EQ(scenario.apply(Mutation::add_node({1.0, 1.0})), n - 1);
+  expect_matches_brute(scenario, "after point ops");
+
+  const ScenarioStats& stats = scenario.stats();
+  EXPECT_EQ(stats.batches.value(), 14u);
+  EXPECT_EQ(stats.batch_mutations.value(), 8u);
+  EXPECT_EQ(stats.incremental_updates.value(), 8u);
+  EXPECT_EQ(stats.full_evaluations.value(), 1u);
+  EXPECT_EQ(scenario.stats_json().dump().find("incremental_ns"),
+            std::string::npos);
+}
+
 TEST(ScenarioRegression, NodeAdditionBoundedByTwoUnderNearestNeighbor) {
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     const auto points = sim::uniform_square(60, 2.0, seed);
