@@ -103,7 +103,7 @@ int main() {
               return;
             }
           }
-          const geom::PointSet points = serial.points();
+          const std::span<const geom::Vec2> points = serial.points();
           const auto brute = core::Assessor{}.assess(
               serial.topology(), points, core::Strategy::kBrute);
           if (!identical(brute.per_node, snapshot_interference(batched))) {

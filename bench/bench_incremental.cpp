@@ -93,7 +93,7 @@ int main() {
           // Baseline: stateless full kGrid evaluation of the same network
           // (what every consumer paid per tick before the engine existed).
           const graph::Graph topo_now = scenario.topology();
-          const geom::PointSet points_now = scenario.points();
+          const std::span<const geom::Vec2> points_now = scenario.points();
           const std::size_t full_reps = 20;
           core::InterferenceSummary last_full;
           const auto t_full = Clock::now();

@@ -29,7 +29,7 @@ struct Prepared {
   geom::PointSet points;
   graph::Graph udg;
   graph::Graph mst;
-  std::vector<double> radii;
+  std::vector<double> radii2;
 };
 
 Prepared prepare(std::size_t n) {
@@ -39,15 +39,15 @@ Prepared prepare(std::size_t n) {
   p.points = sim::uniform_square(n, side, 42);
   p.udg = graph::build_udg(p.points, 1.0);
   p.mst = topology::mst_topology(p.points, p.udg);
-  p.radii = core::transmission_radii(p.mst, p.points);
+  p.radii2 = core::transmission_radii_squared(p.mst, p.points);
   return p;
 }
 
 void BM_InterferenceBrute(benchmark::State& state) {
   const Prepared p = prepare(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::interference_vector(
-        p.points, p.radii, core::Strategy::kBrute));
+    benchmark::DoNotOptimize(core::interference_vector_squared(
+        p.points, p.radii2, core::Strategy::kBrute));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -56,8 +56,8 @@ BENCHMARK(BM_InterferenceBrute)->RangeMultiplier(4)->Range(256, 4096)->Complexit
 void BM_InterferenceGrid(benchmark::State& state) {
   const Prepared p = prepare(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::interference_vector(
-        p.points, p.radii, core::Strategy::kGrid));
+    benchmark::DoNotOptimize(core::interference_vector_squared(
+        p.points, p.radii2, core::Strategy::kGrid));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -66,8 +66,8 @@ BENCHMARK(BM_InterferenceGrid)->RangeMultiplier(4)->Range(256, 65536)->Complexit
 void BM_InterferenceParallel(benchmark::State& state) {
   const Prepared p = prepare(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::interference_vector(
-        p.points, p.radii, core::Strategy::kParallel));
+    benchmark::DoNotOptimize(core::interference_vector_squared(
+        p.points, p.radii2, core::Strategy::kParallel));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -234,6 +234,27 @@ void BM_ScenarioColdStart(benchmark::State& state) {
 BENCHMARK(BM_ScenarioColdStart)
     ->ArgNames({"nodes", "restore"})
     ->ArgsProduct({{4096, 100000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScenarioCopy(benchmark::State& state) {
+  // Copy construction of a warm engine (grid built, interference cached) on
+  // a points-only NNF at density 12.5: the probe copy core::Assessor makes
+  // for every assessment.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double side = std::sqrt(static_cast<double>(n) / 12.5);
+  const auto points = sim::uniform_square(n, side, 42);
+  core::Scenario scenario(points, topology::nearest_neighbor_forest(points));
+  scenario.move_node(0, {points[0].x + 0.01, points[0].y});
+  benchmark::DoNotOptimize(scenario.max_interference());
+  for (auto _ : state) {
+    const core::Scenario copy(scenario);
+    benchmark::DoNotOptimize(copy.node_count());
+  }
+}
+BENCHMARK(BM_ScenarioCopy)
+    ->ArgNames({"nodes"})
+    ->Arg(4096)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AExp(benchmark::State& state) {

@@ -149,18 +149,14 @@ int main(int argc, char** argv) {
           const core::SinrAssessor sinr_assessor(sinr_opts);
           const std::vector<double> radii2 =
               core::transmission_radii_squared(nnf, points);
-          core::NodeSoA nodes;
-          nodes.reserve(n);
-          for (std::size_t v = 0; v < n; ++v) {
-            nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
-          }
-          const core::SinrSummary sinr = sinr_assessor.assess(nodes);
+          const core::SinrSummary sinr = sinr_assessor.assess(points, radii2);
           tier.sinr_ms = ms_since(t0);
           tier.sinr_max = sinr.max;
           tier.sinr_max_power = sinr.max_power;
           tier.sinr_checksum = sinr.power_checksum;
 
-          const core::SinrSummary sinr_scalar = sinr_assessor.assess_scalar(nodes);
+          const core::SinrSummary sinr_scalar =
+              sinr_assessor.assess_scalar(points, radii2);
           tier.sinr_checksums_identical =
               sinr.power_checksum == sinr_scalar.power_checksum &&
               sinr.max == sinr_scalar.max && sinr.total == sinr_scalar.total;
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
           // power bit must still equal the one-stripe kGrid scatter.
           t0 = Clock::now();
           const core::SinrSummary sinr_parallel =
-              sinr_assessor.assess(nodes, parallel);
+              sinr_assessor.assess(points, radii2, parallel);
           tier.sinr_parallel_ms = ms_since(t0);
           tier.sinr_parallel_identical =
               std::equal(sinr.power.begin(), sinr.power.end(),

@@ -142,9 +142,8 @@ NodeAdditionImpact Assessor::assess_addition(std::span<const geom::Vec2> points,
 
   // The sender-centric comparison needs the mutated topology for real.
   for (std::size_t i = 0; i < length; ++i) scenario.apply(sequence[i]);
-  const geom::PointSet mutated_points = scenario.points();
   impact.sender_after =
-      evaluate_sender_centric(scenario.topology(), mutated_points, options_)
+      evaluate_sender_centric(scenario.topology(), scenario.points(), options_)
           .max;
   return impact;
 }

@@ -29,7 +29,7 @@ AuditReport InvariantAuditor::audit(Scenario& scenario) const {
   ++audits_;
   AuditReport report;
   const std::size_t n = scenario.node_count();
-  const geom::PointSet points = scenario.points();
+  const std::span<const geom::Vec2> points = scenario.points();
 
   if (options_.check_structure) {
     std::size_t degree_sum = 0;

@@ -98,26 +98,6 @@ std::vector<std::uint32_t> InterferenceSummary::histogram() const {
   return bins;
 }
 
-std::uint32_t node_interference(std::span<const geom::Vec2> points,
-                                std::span<const double> radii, NodeId v) {
-  assert(v < points.size());
-  std::uint32_t count = 0;
-  for (NodeId u = 0; u < points.size(); ++u) {
-    if (u == v || radii[u] <= 0.0) continue;
-    if (geom::dist2(points[u], points[v]) <= radii[u] * radii[u]) ++count;
-  }
-  return count;
-}
-
-std::vector<std::uint32_t> interference_vector(std::span<const geom::Vec2> points,
-                                               std::span<const double> radii,
-                                               Strategy strategy) {
-  assert(points.size() == radii.size());
-  std::vector<double> radii2(radii.size());
-  for (std::size_t i = 0; i < radii.size(); ++i) radii2[i] = radii[i] * radii[i];
-  return interference_vector_squared(points, radii2, strategy);
-}
-
 std::vector<std::uint32_t> interference_vector_squared(
     std::span<const geom::Vec2> points, std::span<const double> radii2,
     Strategy strategy) {

@@ -217,29 +217,15 @@ struct EvalOptions {
   }
 };
 
-/// Interference of node \p v under the given radii (Definition 3.1).
-/// A node exactly on a disk boundary counts as covered; self-interference
-/// is excluded.
-[[nodiscard]] std::uint32_t node_interference(std::span<const geom::Vec2> points,
-                                              std::span<const double> radii,
-                                              NodeId v);
-
-/// Per-node interference for all nodes under the given radii.
-///
-/// \deprecated For repeated evaluation of an evolving network, direct use
-/// of interference_vector (recomputing every node per call) is deprecated
-/// in favour of core::Scenario, which keeps the vector current under
-/// mutations at O(affected-disk) cost. One-shot callers are unaffected.
-[[nodiscard]] std::vector<std::uint32_t> interference_vector(
-    std::span<const geom::Vec2> points, std::span<const double> radii,
-    Strategy strategy = Strategy::kAuto);
-
-/// Like interference_vector but over *squared* radii — the exact form every
-/// evaluator uses internally (containment is dist2 <= radii2[u], no
-/// sqrt/square roundtrip). This is the one full evaluator: Assessor's
-/// topology overloads, graph_interference, and Scenario's full evaluations
-/// (construction, and the fallback when a delta touches too much of the
-/// instance) all call it.
+/// Per-node interference I(v) for all nodes under the given *squared*
+/// radii — the exact form every evaluator uses (containment is
+/// dist2 <= radii2[u], no sqrt/square roundtrip; a node exactly on a disk
+/// boundary counts as covered, self-interference is excluded). This is the
+/// one full evaluator: Assessor's topology overloads, graph_interference,
+/// and Scenario's full evaluations (construction, and the fallback when a
+/// delta touches too much of the instance) all call it. For repeated
+/// evaluation of an evolving network hold a core::Scenario instead, which
+/// keeps the vector current at O(affected-disk) cost per mutation.
 [[nodiscard]] std::vector<std::uint32_t> interference_vector_squared(
     std::span<const geom::Vec2> points, std::span<const double> radii2,
     Strategy strategy = Strategy::kAuto);

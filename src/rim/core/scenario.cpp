@@ -35,23 +35,24 @@ Scenario::Scenario(EvalOptions options) : options_(options) {}
 
 Scenario::Scenario(std::span<const geom::Vec2> points,
                    const graph::Graph& topology, EvalOptions options)
-    : adjacency_(topology.node_count()),
+    : points_(points.begin(), points.end()),
+      radii2_(points.size(), 0.0),
+      adjacency_(topology.node_count()),
       edge_count_(topology.edge_count()),
       options_(options) {
   assert(topology.node_count() == points.size());
-  nodes_.reserve(points.size());
-  for (NodeId u = 0; u < points.size(); ++u) nodes_.insert(u, points[u], 0.0);
   for (NodeId u = 0; u < topology.node_count(); ++u) {
     const auto neighbors = topology.neighbors(u);
     adjacency_[u].assign(neighbors.begin(), neighbors.end());
     const double r2 = farthest_neighbor_squared(u);
-    nodes_.set_radius2(u, r2);
+    radii2_[u] = r2;
     max_radius2_ = std::max(max_radius2_, r2);
   }
 }
 
 Scenario::Scenario(const Scenario& other)
-    : nodes_(other.nodes_),
+    : points_(other.points_),
+      radii2_(other.radii2_),
       adjacency_(other.adjacency_),
       edge_count_(other.edge_count_),
       max_radius2_(other.max_radius2_),
@@ -66,7 +67,8 @@ Scenario::Scenario(const Scenario& other)
 
 Scenario& Scenario::operator=(const Scenario& other) {
   if (this == &other) return *this;
-  nodes_ = other.nodes_;
+  points_ = other.points_;
+  radii2_ = other.radii2_;
   adjacency_ = other.adjacency_;
   edge_count_ = other.edge_count_;
   max_radius2_ = other.max_radius2_;
@@ -82,33 +84,30 @@ Scenario& Scenario::operator=(const Scenario& other) {
 
 void Scenario::ensure_grid() {
   if (grid_built_) return;
-  // id == slot, so the slot-ordered columns are the id-ordered point set.
-  grid_.build(pick_cell_size(nodes_.radii2()), nodes_.xs(), nodes_.ys(),
-              nodes_.radii2());
+  grid_.build(pick_cell_size(radii2_), points_, radii2_);
   grid_built_ = true;
 }
 
 void Scenario::set_node_radius2(NodeId u, double new_r2) {
-  nodes_.set_radius2(u, new_r2);
+  radii2_[u] = new_r2;
   if (grid_built_) grid_.set_weight(u, new_r2);
 }
 
 void Scenario::ensure_cache() {
   if (!dirty_) return;
   const obs::ScopedTimer timer(stats_.full_ns);
-  interference_ =
-      interference_vector_squared(nodes_.positions(), nodes_.radii2(), options_);
+  interference_ = interference_vector_squared(points_, radii2_, options_);
   max_radius2_ = 0.0;
-  for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);
+  for (double r2 : radii2_) max_radius2_ = std::max(max_radius2_, r2);
   dirty_ = false;
   ++stats_.full_evaluations;
 }
 
 double Scenario::farthest_neighbor_squared(NodeId u) const {
   double best = 0.0;
-  const geom::Vec2 p = nodes_.position(u);
+  const geom::Vec2 p = points_[u];
   for (NodeId w : adjacency_[u]) {
-    best = std::max(best, geom::dist2(p, nodes_.position(w)));
+    best = std::max(best, geom::dist2(p, points_[w]));
   }
   return best;
 }
@@ -118,7 +117,7 @@ bool Scenario::apply_one(const Mutation& mutation) {
 }
 
 NodeId Scenario::apply(const Mutation& mutation) {
-  const auto n = static_cast<NodeId>(nodes_.size());
+  const auto n = static_cast<NodeId>(points_.size());
   if (!apply_one(mutation)) return kInvalidNode;
   if (mutation.kind == Mutation::Kind::kAddNode) return n;
   if (mutation.kind == Mutation::Kind::kRemoveNode && mutation.v != n - 1) {
@@ -135,8 +134,8 @@ bool Scenario::has_edge(NodeId u, NodeId v) const {
 }
 
 graph::Graph Scenario::topology() const {
-  graph::Graph g(nodes_.size());
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
+  graph::Graph g(points_.size());
+  for (NodeId u = 0; u < points_.size(); ++u) {
     for (NodeId w : adjacency_[u]) {
       if (u < w) g.add_edge(u, w);
     }
@@ -155,7 +154,7 @@ std::span<const std::uint32_t> Scenario::interference() {
 }
 
 std::uint32_t Scenario::interference_of(NodeId v) {
-  assert(v < nodes_.size());
+  assert(v < points_.size());
   ensure_cache();
   return interference_[v];
 }
@@ -186,9 +185,9 @@ Snapshot Scenario::snapshot() {
   s.cell_size = grid_built_ ? grid_.cell_size() : 0.0;
   s.options = options_;
   s.edge_count = edge_count_;
-  s.points = nodes_.positions();
+  s.points = points_;
   s.adjacency = adjacency_;
-  s.radii2.assign(nodes_.radii2().begin(), nodes_.radii2().end());
+  s.radii2 = radii2_;
   if (!dirty_) s.interference = interference_;
   ++stats_.snapshots;
   return s;
@@ -200,13 +199,10 @@ bool Scenario::restore(const Snapshot& snapshot, std::string* error) {
     if (error != nullptr) *error = local_error;
     return false;
   }
-  nodes_ = NodeSoA();
-  nodes_.reserve(snapshot.points.size());
+  points_ = snapshot.points;
+  radii2_ = snapshot.radii2;
   max_radius2_ = 0.0;
-  for (NodeId v = 0; v < snapshot.points.size(); ++v) {
-    nodes_.insert(v, snapshot.points[v], snapshot.radii2[v]);
-    max_radius2_ = std::max(max_radius2_, snapshot.radii2[v]);
-  }
+  for (double r2 : radii2_) max_radius2_ = std::max(max_radius2_, r2);
   adjacency_ = snapshot.adjacency;
   edge_count_ = snapshot.edge_count;
   interference_ = snapshot.interference;
@@ -214,8 +210,7 @@ bool Scenario::restore(const Snapshot& snapshot, std::string* error) {
   options_ = snapshot.options;
   grid_built_ = false;
   if (snapshot.grid_built) {
-    grid_.build(snapshot.cell_size, nodes_.xs(), nodes_.ys(),
-                nodes_.radii2());
+    grid_.build(snapshot.cell_size, points_, radii2_);
     grid_built_ = true;
   } else {
     grid_.clear(1.0);
@@ -226,7 +221,7 @@ bool Scenario::restore(const Snapshot& snapshot, std::string* error) {
 
 io::Json Scenario::stats_json() const {
   io::JsonObject o;
-  o["nodes"] = io::Json(nodes_.size());
+  o["nodes"] = io::Json(points_.size());
   o["edges"] = io::Json(edge_count_);
   o["grid_cell_size"] = io::Json(grid_built_ ? grid_.cell_size() : 0.0);
   o["counters"] = stats_.to_json();

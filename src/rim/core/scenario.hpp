@@ -7,7 +7,6 @@
 
 #include "rim/common/arena.hpp"
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
 #include "rim/geom/dynamic_grid.hpp"
 #include "rim/geom/vec2.hpp"
 #include "rim/graph/graph.hpp"
@@ -311,26 +310,18 @@ class Scenario {
 
   // --- views -------------------------------------------------------------
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return points_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
-  /// The SoA node store (positions + squared radii as contiguous columns,
-  /// id == slot by the dense-id invariant). The zero-copy view; feed it to
-  /// core::Assessor for stateless evaluation.
-  [[nodiscard]] const NodeSoA& nodes() const { return nodes_; }
-  /// Positions materialised as interleaved Vec2 in id order (a copy — the
-  /// engine stores columns, not Vec2s; prefer nodes() on hot paths).
-  [[nodiscard]] geom::PointSet points() const { return nodes_.positions(); }
-  [[nodiscard]] geom::Vec2 position(NodeId v) const {
-    return nodes_.position(v);
-  }
+  /// Positions in id order: a view of the engine's own column, valid until
+  /// the next mutation or restore.
+  [[nodiscard]] std::span<const geom::Vec2> points() const { return points_; }
+  [[nodiscard]] geom::Vec2 position(NodeId v) const { return points_[v]; }
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const {
     return adjacency_[v];
   }
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
   /// r_v^2 — the cached farthest-neighbor squared radius.
-  [[nodiscard]] double radius_squared(NodeId v) const {
-    return nodes_.radius2(v);
-  }
+  [[nodiscard]] double radius_squared(NodeId v) const { return radii2_[v]; }
   [[nodiscard]] const EvalOptions& options() const { return options_; }
 
   /// Export the current topology as a graph::Graph snapshot (O(n + m)).
@@ -380,13 +371,15 @@ class Scenario {
   bool apply_one(const Mutation& mutation);
   void ensure_grid();
   void ensure_cache();
-  /// Write-through radius update: the store column and (when built) the
+  /// Write-through radius update: the radius column and (when built) the
   /// grid's coverage weight stay in lockstep.
   void set_node_radius2(NodeId u, double new_r2);
   [[nodiscard]] double farthest_neighbor_squared(NodeId u) const;
 
-  /// SoA node store: x/y/r^2/id columns with id == slot (dense ids).
-  NodeSoA nodes_;
+  /// The model state in id order (dense ids), the shape of a Snapshot:
+  /// positions and squared transmission radii.
+  geom::PointSet points_;
+  std::vector<double> radii2_;
   std::vector<std::vector<NodeId>> adjacency_;
   std::size_t edge_count_ = 0;
   /// Exact max of the radius column (coverage queries walk this disk).

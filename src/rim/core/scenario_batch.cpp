@@ -17,7 +17,7 @@
 /// of the model), so intermediate states never need to materialise:
 ///
 ///  1. One serial *structural pass* applies all topology/position changes
-///     (adjacency, store columns, radii, grid, swap-with-last renames,
+///     (adjacency, positions, radii, grid, swap-with-last renames,
 ///     cached interference slots) while recording, per touched physical
 ///     node, its pre-batch disk, and collecting the pre-batch disks of
 ///     removed nodes.
@@ -119,7 +119,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   // columns only; the grid is bulk-built from them at the first other
   // mutation or after the pass. The content equals inserting them in id
   // order, and the cell size is the one an empty grid would get.
-  if (nodes_.size() != 0) ensure_grid();
+  if (!points_.empty()) ensure_grid();
   const obs::ScopedTimer timer(stats_.batch_ns);
   ++stats_.batches;
   const bool was_dirty = dirty_;
@@ -129,7 +129,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
 
   // ---- 1. Serial structural pass --------------------------------------
   // Ids stay below n0 + batch size (every add raises the ceiling by one).
-  const std::size_t id_cap = nodes_.size() + batch.size();
+  const std::size_t id_cap = points_.size() + batch.size();
   if (batch_mark_.size() < id_cap) batch_mark_.resize(id_cap, 0);
   batch_touched_.clear();
   // Pre-batch disks of removed nodes: at most one per removal.
@@ -145,11 +145,10 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   // First touch of a node this batch captures its pre-batch disk.
   const auto note = [&](NodeId id) -> TouchedNode& {
     if (batch_mark_[id] != 0) return batch_touched_[batch_mark_[id] - 1];
-    return touch(id, {id, nodes_.position(id), nodes_.radius2(id), true,
-                      false});
+    return touch(id, {id, points_[id], radii2_[id], true, false});
   };
   const auto change_radius = [&](NodeId id, double new_r2) {
-    const double cur_r2 = nodes_.radius2(id);
+    const double cur_r2 = radii2_[id];
     if (cur_r2 == new_r2) return;
     note(id);
     if (new_r2 > max_radius2_) {
@@ -170,11 +169,12 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     }
     const Mutation& m = batch[bi];
     if (m.kind != Mutation::Kind::kAddNode) ensure_grid();
-    const std::size_t n = nodes_.size();
+    const std::size_t n = points_.size();
     switch (m.kind) {
       case Mutation::Kind::kAddNode: {
         const auto id = static_cast<NodeId>(n);
-        nodes_.insert(id, m.position, 0.0);
+        points_.push_back(m.position);
+        radii2_.push_back(0.0);
         adjacency_.emplace_back();
         if (grid_built_) grid_.insert(id, m.position, 0.0);
         if (!was_dirty) interference_.push_back(0u);
@@ -209,9 +209,9 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
         }
         const auto last = static_cast<NodeId>(n - 1);
         grid_.erase(v);
-        nodes_.remove(v);
         if (v != last) {
-          nodes_.relabel(last, v);
+          points_[v] = points_[last];
+          radii2_[v] = radii2_[last];
           adjacency_[v] = std::move(adjacency_[last]);
           for (NodeId w : adjacency_[v]) {
             std::replace(adjacency_[w].begin(), adjacency_[w].end(), last, v);
@@ -227,6 +227,8 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
           if (v != last) interference_[v] = interference_[last];
           interference_.pop_back();
         }
+        points_.pop_back();
+        radii2_.pop_back();
         adjacency_.pop_back();
         ++result.applied;
         break;
@@ -237,9 +239,9 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
         adjacency_[m.v].push_back(m.u);
         ++edge_count_;
         const double d2 =
-            geom::dist2(nodes_.position(m.u), nodes_.position(m.v));
-        if (d2 > nodes_.radius2(m.u)) change_radius(m.u, d2);
-        if (d2 > nodes_.radius2(m.v)) change_radius(m.v, d2);
+            geom::dist2(points_[m.u], points_[m.v]);
+        if (d2 > radii2_[m.u]) change_radius(m.u, d2);
+        if (d2 > radii2_[m.v]) change_radius(m.v, d2);
         ++result.applied;
         break;
       }
@@ -259,9 +261,9 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
       }
       case Mutation::Kind::kMoveNode: {
         if (m.v >= n) break;
-        if (nodes_.position(m.v) == m.position) break;  // strict no-op
+        if (points_[m.v] == m.position) break;  // strict no-op
         note(m.v).recount = true;
-        nodes_.set_position(m.v, m.position);
+        points_[m.v] = m.position;
         grid_.move(m.v, m.position);
         change_radius(m.v, farthest_neighbor_squared(m.v));
         for (NodeId w : adjacency_[m.v]) {
@@ -288,7 +290,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   ensure_grid();
   if (rescan_max) {
     max_radius2_ = 0.0;
-    for (double r2 : nodes_.radii2()) max_radius2_ = std::max(max_radius2_, r2);
+    for (double r2 : radii2_) max_radius2_ = std::max(max_radius2_, r2);
   }
   stats_.batch_mutations += result.applied;
 
@@ -320,8 +322,8 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   std::size_t recount_count = 0;
   for (const TouchedNode& p : batch_touched_) {
     const NodeId id = p.id;
-    const geom::Vec2 new_pos = nodes_.position(id);
-    const double new_r2 = nodes_.radius2(id);
+    const geom::Vec2 new_pos = points_[id];
+    const double new_r2 = radii2_[id];
     if (p.existed && p.orig_pos == new_pos) {
       // Radius-only change: one symmetric-difference delta.
       if (p.orig_r2 != new_r2) {
@@ -344,7 +346,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   stats_.batch_recounts += recount_count;
 
   // ---- 3. Defer when the regions rival a full evaluation --------------
-  const std::size_t threshold = options_.touched_threshold(nodes_.size());
+  const std::size_t threshold = options_.touched_threshold(points_.size());
   const double max_radius = std::sqrt(std::max(max_radius2_, 0.0));
   std::size_t estimated = 0;
   bool defer = false;
@@ -357,11 +359,11 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   }
   for (std::size_t i = 0; i < recount_count; ++i) {
     const std::size_t est =
-        grid_.estimate_in_disk(nodes_.position(recounts[i]), max_radius);
+        grid_.estimate_in_disk(points_[recounts[i]], max_radius);
     if (est > threshold) defer = true;
     estimated += est;
   }
-  if (defer || estimated > nodes_.size()) {
+  if (defer || estimated > points_.size()) {
     dirty_ = true;
     result.deferred = true;
     ++stats_.batch_deferred;
@@ -483,7 +485,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
 
   // ---- 5. Recount wave ------------------------------------------------
   // Every recount owns its own interference_ slot and only reads the now
-  // frozen store/grid, so the whole set is one parallel wave. The grid
+  // frozen columns and grid, so the whole set is one parallel wave. The grid
   // weights mirror the radius column, so the coverage kernel needs no side
   // lookups.
   const auto run_recount_task = [&](std::size_t k, GridWork& work) {
@@ -493,7 +495,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
     }
     const NodeId id = recounts[k];
     const geom::CoverageResult r =
-        geom::count_covering(grid_, nodes_.position(id), max_radius2_, id);
+        geom::count_covering(grid_, points_[id], max_radius2_, id);
     interference_[id] = r.covered;
     work.nodes += r.visited;
     work.cells += r.cells;

@@ -46,17 +46,12 @@ std::uint32_t edge_coverage(std::span<const geom::Vec2> points, graph::Edge e) {
   return count;
 }
 
-std::vector<std::uint32_t> coverage_vector(const graph::Graph& topology,
-                                           std::span<const geom::Vec2> points) {
+SenderCentricSummary evaluate_sender_centric(const graph::Graph& topology,
+                                             std::span<const geom::Vec2> points) {
   std::vector<std::uint32_t> cov;
   cov.reserve(topology.edge_count());
   for (graph::Edge e : topology.edges()) cov.push_back(edge_coverage(points, e));
-  return cov;
-}
-
-SenderCentricSummary evaluate_sender_centric(const graph::Graph& topology,
-                                             std::span<const geom::Vec2> points) {
-  return summarize(coverage_vector(topology, points));
+  return summarize(std::move(cov));
 }
 
 SenderCentricSummary evaluate_sender_centric(const graph::Graph& topology,

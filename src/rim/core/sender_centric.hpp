@@ -31,10 +31,6 @@ namespace rim::core {
 [[nodiscard]] std::uint32_t edge_coverage(std::span<const geom::Vec2> points,
                                           graph::Edge e);
 
-/// Coverage of every edge of \p topology, in edge order.
-[[nodiscard]] std::vector<std::uint32_t> coverage_vector(
-    const graph::Graph& topology, std::span<const geom::Vec2> points);
-
 struct SenderCentricSummary {
   std::vector<std::uint32_t> per_edge;  ///< Cov(e) per edge.
   std::uint32_t max = 0;                ///< I(G') in the MobiHoc'04 model.

@@ -39,11 +39,12 @@ struct Stripes {
   std::vector<std::size_t> begin;
 };
 
-/// Cut the n receivers into \p count stripes at x-quantiles. Receiver v
-/// joins the stripe after the last cut point <= xs[v], so tied x values
-/// share a stripe and some stripes may stay empty (fewer receivers than
-/// stripes, or every receiver on one x). One stripe is the identity.
-Stripes cut_stripes(const double* xs, std::size_t n, std::size_t count) {
+/// Cut the receivers into \p count stripes at x-quantiles. Receiver v
+/// joins the stripe after the last cut point <= points[v].x, so tied x
+/// values share a stripe and some stripes may stay empty (fewer receivers
+/// than stripes, or every receiver on one x). One stripe is the identity.
+Stripes cut_stripes(std::span<const geom::Vec2> points, std::size_t count) {
+  const std::size_t n = points.size();
   Stripes s;
   s.begin.assign(count + 1, 0);
   s.members.resize(n);
@@ -51,7 +52,8 @@ Stripes cut_stripes(const double* xs, std::size_t n, std::size_t count) {
   if (count > 1 && n > 0) {
     // Cut point k is the (k*n/count)-th smallest x; successive
     // nth_element calls each partition only the suffix above the last cut.
-    std::vector<double> sorted(xs, xs + n);
+    std::vector<double> sorted(n);
+    for (std::size_t v = 0; v < n; ++v) sorted[v] = points[v].x;
     std::vector<double> cuts;
     cuts.reserve(count - 1);
     auto lo = sorted.begin();
@@ -64,7 +66,8 @@ Stripes cut_stripes(const double* xs, std::size_t n, std::size_t count) {
     }
     for (std::size_t v = 0; v < n; ++v) {
       stripe_of[v] = static_cast<std::size_t>(
-          std::upper_bound(cuts.begin(), cuts.end(), xs[v]) - cuts.begin());
+          std::upper_bound(cuts.begin(), cuts.end(), points[v].x) -
+          cuts.begin());
     }
   }
   for (std::size_t v = 0; v < n; ++v) ++s.begin[stripe_of[v] + 1];
@@ -76,14 +79,21 @@ Stripes cut_stripes(const double* xs, std::size_t n, std::size_t count) {
   return s;
 }
 
-/// Gather: one vectorised pass per receiver over the whole columns — the
-/// SINR shape of the receiver-centric SoA fast path.
-SinrSummary gather(const NodeSoA& nodes, const SinrOptions& sinr,
+/// Gather: one vectorised pass per receiver over x/y columns split from
+/// the points (O(n) beside the O(n^2) loop) and the radius column.
+SinrSummary gather(std::span<const geom::Vec2> points,
+                   std::span<const double> radii2, const SinrOptions& sinr,
                    bool use_scalar) {
-  const std::size_t n = nodes.size();
-  const double* xs = nodes.xs().data();
-  const double* ys = nodes.ys().data();
-  const double* ws = nodes.radii2().data();
+  const std::size_t n = points.size();
+  std::vector<double> x_column(n);
+  std::vector<double> y_column(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    x_column[v] = points[v].x;
+    y_column[v] = points[v].y;
+  }
+  const double* xs = x_column.data();
+  const double* ys = y_column.data();
+  const double* ws = radii2.data();
   const double cf = sinr.cutoff_factor();
   const double kappa = sinr.kappa();
   const double sig = sinr.significant_threshold();
@@ -104,40 +114,42 @@ SinrSummary gather(const NodeSoA& nodes, const SinrOptions& sinr,
 /// Strategy resolution shared by the SIMD and scalar twins: kBrute
 /// gathers, kGrid scatters as one stripe, kParallel as one stripe per
 /// shared-pool thread.
-SinrSummary assess_impl(const NodeSoA& nodes, const EvalOptions& options,
-                        bool use_scalar) {
-  const Strategy strategy = options.resolve(nodes.size());
+SinrSummary assess_impl(std::span<const geom::Vec2> points,
+                        std::span<const double> radii2,
+                        const EvalOptions& options, bool use_scalar) {
+  assert(points.size() == radii2.size());
+  const Strategy strategy = options.resolve(points.size());
   if (strategy == Strategy::kBrute) {
-    return gather(nodes, options.sinr, use_scalar);
+    return gather(points, radii2, options.sinr, use_scalar);
   }
   const std::size_t stripes =
       strategy == Strategy::kParallel
           ? parallel::ThreadPool::shared().thread_count()
           : 1;
-  return detail::scatter_striped(nodes, options.sinr, stripes, use_scalar);
+  return detail::scatter_striped(points, radii2, options.sinr, stripes,
+                                 use_scalar);
 }
 
 }  // namespace
 
 namespace detail {
 
-SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
-                            std::size_t stripes, bool use_scalar) {
-  assert(nodes.dense());
+SinrSummary scatter_striped(std::span<const geom::Vec2> points,
+                            std::span<const double> radii2,
+                            const SinrOptions& sinr, std::size_t stripes,
+                            bool use_scalar) {
+  assert(points.size() == radii2.size());
   assert(sinr.half_alpha >= 1);
   assert(stripes >= 1);
-  const std::size_t n = nodes.size();
+  const std::size_t n = points.size();
   const double cf = sinr.cutoff_factor();
   const double kappa = sinr.kappa();
   const double sig = sinr.significant_threshold();
   const int h = sinr.half_alpha;
-  const double* xs = nodes.xs().data();
-  const double* ys = nodes.ys().data();
-  const double* ws = nodes.radii2().data();
   // Cells keyed by the median cutoff radius: the scatter disks are cutoff
   // disks, not transmission disks.
-  const double cell = pick_cell_size(nodes.radii2(), cf) * 0.5;
-  const Stripes cut = cut_stripes(xs, n, stripes);
+  const double cell = pick_cell_size(radii2, cf) * 0.5;
+  const Stripes cut = cut_stripes(points, stripes);
 
   std::vector<double> power(n, 0.0);
   std::vector<std::uint32_t> counts(n, 0);
@@ -153,29 +165,29 @@ SinrSummary scatter_striped(const NodeSoA& nodes, const SinrOptions& sinr,
     const std::span<const NodeId> mine(cut.members.data() + cut.begin[k],
                                        cut.begin[k + 1] - cut.begin[k]);
     if (mine.empty()) return;
-    std::vector<double> mine_xs(mine.size());
-    std::vector<double> mine_ys(mine.size());
+    geom::PointSet mine_points(mine.size());
+    double x_lo = points[mine[0]].x;
+    double x_hi = x_lo;
     for (std::size_t l = 0; l < mine.size(); ++l) {
-      mine_xs[l] = xs[mine[l]];
-      mine_ys[l] = ys[mine[l]];
+      mine_points[l] = points[mine[l]];
+      x_lo = std::min(x_lo, mine_points[l].x);
+      x_hi = std::max(x_hi, mine_points[l].x);
     }
-    const auto [x_lo, x_hi] =
-        std::minmax_element(mine_xs.begin(), mine_xs.end());
-    const geom::GridIndex index(mine_xs, mine_ys, cell);
+    const geom::GridIndex index(mine_points, cell);
     // Indexed by the stripe index's slot; written back through its ids.
     std::vector<double> slot_power(mine.size(), 0.0);
     std::vector<std::uint32_t> slot_counts(mine.size(), 0);
     for (std::size_t t = 0; t < n; ++t) {
-      const double w = ws[t];
+      const double w = radii2[t];
       if (!(w > 0.0)) continue;
       const double cutoff2 = w * cf;
       // The index's walk radius: a receiver the kernel accepts has
-      // |x - xs[t]| <= reach, so a disk missing [x_lo, x_hi] by more than
-      // reach reaches no receiver of this stripe.
+      // |x - points[t].x| <= reach, so a disk missing [x_lo, x_hi] by more
+      // than reach reaches no receiver of this stripe.
       const double reach = geom::walk_radius(cutoff2);
-      if (*x_lo - xs[t] > reach || xs[t] - *x_hi > reach) continue;
+      const geom::Vec2 center = points[t];
+      if (x_lo - center.x > reach || center.x - x_hi > reach) continue;
       const double p = kappa * simd::detail::ipow(w, h);
-      const geom::Vec2 center{xs[t], ys[t]};
       if (use_scalar) {
         geom::accumulate_path_loss_scalar(index, center, cutoff2, p, h, sig,
                                           slot_power.data(),
@@ -238,28 +250,23 @@ InterferenceSummary SinrSummary::to_interference() const {
   return InterferenceSummary::from_per_node(per_node);
 }
 
-SinrSummary SinrAssessor::assess(const NodeSoA& nodes,
+SinrSummary SinrAssessor::assess(std::span<const geom::Vec2> points,
+                                 std::span<const double> radii2,
                                  const EvalOptions& options) const {
-  return assess_impl(nodes, options, /*use_scalar=*/false);
+  return assess_impl(points, radii2, options, /*use_scalar=*/false);
 }
 
-SinrSummary SinrAssessor::assess_scalar(const NodeSoA& nodes,
+SinrSummary SinrAssessor::assess_scalar(std::span<const geom::Vec2> points,
+                                        std::span<const double> radii2,
                                         const EvalOptions& options) const {
-  return assess_impl(nodes, options, /*use_scalar=*/true);
+  return assess_impl(points, radii2, options, /*use_scalar=*/true);
 }
 
 SinrSummary SinrAssessor::assess(const graph::Graph& topology,
                                  std::span<const geom::Vec2> points,
                                  const EvalOptions& options) const {
   assert(topology.node_count() == points.size());
-  const std::vector<double> radii2 =
-      transmission_radii_squared(topology, points);
-  NodeSoA nodes;
-  nodes.reserve(points.size());
-  for (std::size_t v = 0; v < points.size(); ++v) {
-    nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
-  }
-  return assess(nodes, options);
+  return assess(points, transmission_radii_squared(topology, points), options);
 }
 
 }  // namespace rim::core

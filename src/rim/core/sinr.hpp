@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
+#include "rim/geom/vec2.hpp"
 
 /// \file sinr.hpp
 /// The physical (SINR) interference model comparator (DESIGN.md §12).
@@ -44,7 +44,7 @@
 namespace rim::core {
 
 /// Result of one SINR assessment. `power` and `per_node` are indexed by
-/// node id (the store's dense-id invariant).
+/// node id.
 struct SinrSummary {
   std::vector<double> power;            ///< accumulated interference power
   std::vector<std::uint32_t> per_node;  ///< significant-interferer counts
@@ -65,15 +65,17 @@ struct SinrSummary {
   [[nodiscard]] InterferenceSummary to_interference() const;
 };
 
-/// The SINR comparator. Stateless like the Assessor NodeSoA path: every
-/// call is a full evaluation of the store it is handed.
+/// The SINR comparator. Stateless like interference_vector_squared, whose
+/// (points, radii2, options) signature it shares: every call is a full
+/// evaluation of the node state it is handed.
 class SinrAssessor {
  public:
   explicit SinrAssessor(EvalOptions options = {}) : options_(options) {}
 
-  /// Assess \p nodes (dense ids) under options.sinr. Strategy resolution:
-  /// kBrute gathers per receiver over the whole SoA columns (exact O(n^2)
-  /// shape of the receiver-centric fast path); kGrid and kParallel scatter
+  /// Assess node v at points[v] with squared radius radii2[v] under
+  /// options.sinr. Strategy resolution: kBrute gathers per receiver over
+  /// x/y/r^2 columns split from the input (an O(n) copy beside the O(n^2)
+  /// loop); kGrid and kParallel scatter
   /// per transmitter. The scatter cuts the receivers into x-stripes — one
   /// for kGrid, one per ThreadPool::shared() thread for kParallel — and
   /// builds one frozen geom::GridIndex per stripe (cells of half the
@@ -83,14 +85,16 @@ class SinrAssessor {
   /// kParallel is bit-identical to kGrid. kParallel runs
   /// parallel_for on the shared pool: never call it from inside a task of
   /// that pool (DESIGN.md §8).
-  [[nodiscard]] SinrSummary assess(const NodeSoA& nodes,
+  [[nodiscard]] SinrSummary assess(std::span<const geom::Vec2> points,
+                                   std::span<const double> radii2,
                                    const EvalOptions& options) const;
-  [[nodiscard]] SinrSummary assess(const NodeSoA& nodes) const {
-    return assess(nodes, options_);
+  [[nodiscard]] SinrSummary assess(std::span<const geom::Vec2> points,
+                                   std::span<const double> radii2) const {
+    return assess(points, radii2, options_);
   }
 
   /// One-shot topology form: radii derived from farthest neighbors
-  /// (core/radii.hpp), then the NodeSoA path.
+  /// (core/radii.hpp), then the (points, radii2) path.
   [[nodiscard]] SinrSummary assess(const graph::Graph& topology,
                                    std::span<const geom::Vec2> points,
                                    const EvalOptions& options) const;
@@ -102,10 +106,13 @@ class SinrAssessor {
   /// Scalar-twin evaluation: identical strategy resolution, scalar kernels
   /// only. The bit-identity oracle for the checksum tests and the E23
   /// acceptance gate.
-  [[nodiscard]] SinrSummary assess_scalar(const NodeSoA& nodes,
+  [[nodiscard]] SinrSummary assess_scalar(std::span<const geom::Vec2> points,
+                                          std::span<const double> radii2,
                                           const EvalOptions& options) const;
-  [[nodiscard]] SinrSummary assess_scalar(const NodeSoA& nodes) const {
-    return assess_scalar(nodes, options_);
+  [[nodiscard]] SinrSummary assess_scalar(
+      std::span<const geom::Vec2> points,
+      std::span<const double> radii2) const {
+    return assess_scalar(points, radii2, options_);
   }
 
   [[nodiscard]] const EvalOptions& options() const { return options_; }
@@ -120,7 +127,8 @@ namespace detail {
 /// stripe per shared-pool thread), with the stripe count explicit so the
 /// tests can pin bit-identity across counts the host's pool would not
 /// reach. \p use_scalar selects the scalar kernel twins.
-[[nodiscard]] SinrSummary scatter_striped(const NodeSoA& nodes,
+[[nodiscard]] SinrSummary scatter_striped(std::span<const geom::Vec2> points,
+                                          std::span<const double> radii2,
                                           const SinrOptions& sinr,
                                           std::size_t stripes,
                                           bool use_scalar);

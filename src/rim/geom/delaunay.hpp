@@ -17,10 +17,13 @@
 /// (unit-Delaunay) topology — the classic planar localized structure of Li,
 /// Calinescu, Wan (INFOCOM'02) used by geographic routing.
 ///
-/// The implementation is the O(n²) point-insertion Bowyer–Watson with a
-/// super-triangle; robust enough for the experiment scales used here
-/// (degenerate cocircular quadruples resolve arbitrarily but
-/// deterministically).
+/// The implementation is the O(n²) point-insertion Bowyer–Watson. The
+/// outside of the convex hull is one symbolic vertex at infinity (ghost
+/// triangles on the hull edges) rather than a finite super-triangle, whose
+/// vertices would fall inside the circumcircles of flat hull triangles and
+/// cost their edges. The orientation and incircle signs are exact, so
+/// near-collinear inputs triangulate correctly; cocircular quadruples
+/// resolve arbitrarily but deterministically.
 
 namespace rim::geom {
 
@@ -35,7 +38,7 @@ class Delaunay {
   /// still a valid — possibly empty — edge graph).
   explicit Delaunay(std::span<const Vec2> points);
 
-  /// Triangles of the final triangulation (super-triangle removed).
+  /// Triangles of the final triangulation (ghost triangles removed).
   [[nodiscard]] const std::vector<Triangle>& triangles() const { return triangles_; }
 
   /// Undirected edge graph of the triangulation.
@@ -46,7 +49,8 @@ class Delaunay {
   std::vector<Triangle> triangles_;
 };
 
-/// True iff d lies strictly inside the circumcircle of CCW triangle abc.
+/// True iff d lies strictly inside the circumcircle of CCW triangle abc,
+/// decided exactly (a filtered double determinant with an exact fallback).
 [[nodiscard]] bool in_circumcircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 
 /// The unit-Delaunay topology: Delaunay edges no longer than \p radius,

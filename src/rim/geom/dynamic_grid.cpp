@@ -40,13 +40,12 @@ void DynamicGrid::clear(double cell_size) {
   stats_ = GridStats{};
 }
 
-void DynamicGrid::build(double cell_size, std::span<const double> xs,
-                        std::span<const double> ys,
+void DynamicGrid::build(double cell_size, std::span<const Vec2> points,
                         std::span<const double> ws) {
-  assert(xs.size() == ys.size() && xs.size() == ws.size());
-  assert(xs.size() < kNone);
+  assert(points.size() == ws.size());
+  assert(points.size() < kNone);
   clear(cell_size);
-  const std::size_t n = xs.size();
+  const std::size_t n = points.size();
   if (n == 0) return;
   stats_.inserts += n;
   key_.resize(n);
@@ -60,7 +59,7 @@ void DynamicGrid::build(double cell_size, std::span<const double> xs,
   std::vector<NodeId> scratch(n);
   std::array<std::array<std::uint32_t, 256>, 8> counts{};
   for (std::size_t i = 0; i < n; ++i) {
-    const CellKey key = key_of({xs[i], ys[i]});
+    const CellKey key = key_of(points[i]);
     key_[i] = key;
     order[i] = static_cast<NodeId>(i);
     for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xFFU];
@@ -96,8 +95,8 @@ void DynamicGrid::build(double cell_size, std::span<const double> xs,
     std::size_t j = i;
     for (; j < n && key_[order[j]] == key; ++j) {
       const NodeId id = order[j];
-      xs_[j] = xs[id];
-      ys_[j] = ys[id];
+      xs_[j] = points[id].x;
+      ys_[j] = points[id].y;
       ws_[j] = ws[id];
       ids_[j] = id;
       slot_[id] = static_cast<std::uint32_t>(j);

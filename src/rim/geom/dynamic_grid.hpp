@@ -82,12 +82,12 @@ class DynamicGrid {
   /// Drop all points and start over with a new cell size.
   void clear(double cell_size);
 
-  /// Drop all points and load ids 0..n-1 at (xs[i], ys[i]) with weights
-  /// ws[i] in one pass. The result equals n id-order insert() calls into an
+  /// Drop all points and load ids 0..n-1 at points[i] with weights ws[i]
+  /// in one pass. The result equals n id-order insert() calls into an
   /// empty grid: same content_checksum(), same cells, ids ascending within
   /// each cell. Coordinates must be finite.
-  void build(double cell_size, std::span<const double> xs,
-             std::span<const double> ys, std::span<const double> ws);
+  void build(double cell_size, std::span<const Vec2> points,
+             std::span<const double> ws);
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] double cell_size() const { return cell_size_; }

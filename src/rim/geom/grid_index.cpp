@@ -9,26 +9,15 @@ namespace rim::geom {
 
 GridIndex::GridIndex(std::span<const Vec2> points, double cell_size)
     : cell_size_(cell_size) {
-  build(points.size(), [points](std::size_t i) { return points[i]; });
-}
-
-GridIndex::GridIndex(std::span<const double> xs, std::span<const double> ys,
-                     double cell_size)
-    : cell_size_(cell_size) {
-  assert(xs.size() == ys.size());
-  build(xs.size(), [xs, ys](std::size_t i) { return Vec2{xs[i], ys[i]}; });
-}
-
-template <typename PointAt>
-void GridIndex::build(std::size_t n, PointAt point_at) {
+  const std::size_t n = points.size();
   assert(cell_size_ > 0.0);
   assert(n < std::numeric_limits<std::uint32_t>::max());
   if (n == 0) {
     cell_start_.assign(2, 0);
     return;
   }
-  box_ = {point_at(0), point_at(0)};
-  for (std::size_t i = 1; i < n; ++i) box_.expand(point_at(i));
+  box_ = {points[0], points[0]};
+  for (std::size_t i = 1; i < n; ++i) box_.expand(points[i]);
   // Cap the grid so adversarially spread inputs (e.g. exponential chains)
   // cannot blow up memory or construction time; a coarser grid is merely
   // slower to query, never wrong. The cap scales with the point count so
@@ -53,7 +42,7 @@ void GridIndex::build(std::size_t n, PointAt point_at) {
   std::vector<std::uint32_t> cell_of(n);
   cell_start_.assign(cells + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 p = point_at(i);
+    const Vec2 p = points[i];
     const auto k =
         static_cast<std::uint32_t>(clamp_cell(p.y - box_.lo.y, ny_) * nx_ +
                                    clamp_cell(p.x - box_.lo.x, nx_));
@@ -74,7 +63,7 @@ void GridIndex::build(std::size_t n, PointAt point_at) {
                      cell_start_.end());
   cell_start_[0] = 0;
   for (std::size_t s = 0; s < n; ++s) {
-    const Vec2 p = point_at(ids_[s]);
+    const Vec2 p = points[ids_[s]];
     xs_[s] = p.x;
     ys_[s] = p.y;
   }

@@ -40,10 +40,6 @@ class GridIndex {
   /// Index \p points (ids 0..n-1) with square cells of side \p cell_size,
   /// which must be positive. The coordinates are copied.
   GridIndex(std::span<const Vec2> points, double cell_size);
-  /// The same index built from coordinate columns (point id i is at
-  /// (xs[i], ys[i])); \p xs and \p ys must have equal length.
-  GridIndex(std::span<const double> xs, std::span<const double> ys,
-            double cell_size);
 
   /// Number of indexed points.
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
@@ -129,8 +125,6 @@ class GridIndex {
     std::int64_t hi_cy = -1;
   };
 
-  template <typename PointAt>
-  void build(std::size_t n, PointAt point_at);
   /// The closed square of side 2 * walk_radius(radius2) around \p center.
   [[nodiscard]] static Aabb walk_square(Vec2 center, double radius2) {
     const double walk = walk_radius(radius2);

@@ -19,7 +19,7 @@
 /// exact closed-disk containment test `d2 <= r2` with
 /// `d2 = dx*dx + dy*dy` evaluated in double precision — over
 /// structure-of-arrays columns (geom::DynamicGrid cells, the row spans
-/// of a frozen geom::GridIndex, core::NodeSoA).
+/// of a frozen geom::GridIndex, the SINR gather's x/y/r^2 columns).
 /// That predicate vectorises losslessly: each lane computes the identical
 /// two multiplies and one add in round-to-nearest double, the comparison
 /// is exact, and the counts are integers, so the SIMD kernels are

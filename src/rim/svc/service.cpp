@@ -64,8 +64,8 @@ io::Json assessment_to_json(const core::Assessment& assessment) {
 }
 
 /// Parse a required NodeId request field, range-checked against the
-/// session's current node count (the direct Scenario setters, unlike
-/// apply(), expect in-range ids).
+/// session's current node count. The Scenario setters would skip an
+/// out-of-range id silently; the check turns it into a bad_request reply.
 bool node_id_in_range(const io::Json& request, const char* key,
                       std::size_t node_count, NodeId& out,
                       std::string& error) {

@@ -26,7 +26,7 @@ namespace {
 
 std::vector<std::uint32_t> brute_reference(Scenario& scenario) {
   const graph::Graph topo = scenario.topology();
-  const geom::PointSet points = scenario.points();
+  const std::span<const geom::Vec2> points = scenario.points();
   const std::vector<double> radii2 = transmission_radii_squared(topo, points);
   return interference_vector_squared(points, radii2, Strategy::kBrute);
 }

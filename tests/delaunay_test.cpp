@@ -7,6 +7,7 @@
 #include "rim/graph/connectivity.hpp"
 #include "rim/graph/mst.hpp"
 #include "rim/graph/udg.hpp"
+#include "rim/sim/adversarial.hpp"
 #include "rim/sim/generators.hpp"
 #include "rim/topology/gabriel.hpp"
 
@@ -72,7 +73,7 @@ TEST_P(DelaunayProperties, SatisfiesEulerFormula) {
   // from both sides.
   const std::size_t h = hull_vertex_count(points);
   EXPECT_LE(del.triangles().size(), 2 * n - 2 - h);
-  EXPECT_GE(del.triangles().size() + 2, 2 * n - 2 - h - n / 10);
+  EXPECT_GE(del.triangles().size(), 2 * n - 2 - h);
 }
 
 TEST_P(DelaunayProperties, ContainsGabrielAndMst) {
@@ -100,6 +101,78 @@ TEST_P(DelaunayProperties, DelaunayIsConnectedAndPlanarSized) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DelaunayProperties,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+/// The Delaunay edges by definition: the edges of every triangle whose
+/// circumcircle holds no other point (unique for points in general
+/// position, which seeded uniform points are).
+graph::Graph brute_force_delaunay(const PointSet& points) {
+  const auto n = static_cast<NodeId>(points.size());
+  graph::Graph g(n);
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      for (NodeId c = b + 1; c < n; ++c) {
+        const double turn = cross(points[b] - points[a], points[c] - points[a]);
+        const bool ccw = turn > 0.0;
+        if (!ccw && !(turn < 0.0)) continue;  // collinear: no circumcircle
+        const NodeId second = ccw ? b : c;
+        const NodeId third = ccw ? c : b;
+        bool empty = true;
+        for (NodeId w = 0; w < n && empty; ++w) {
+          if (w == a || w == b || w == c) continue;
+          empty = !in_circumcircle(points[a], points[second], points[third],
+                                   points[w]);
+        }
+        if (!empty) continue;
+        if (!g.has_edge(a, b)) g.add_edge(a, b);
+        if (!g.has_edge(b, c)) g.add_edge(b, c);
+        if (!g.has_edge(a, c)) g.add_edge(a, c);
+      }
+    }
+  }
+  return g;
+}
+
+TEST(Delaunay, EdgesMatchBruteForceEmptyCircleOracle) {
+  // Flat triangles on the hull have huge circumcircles; a finite
+  // super-triangle vertex inside one of them used to cost its edges.
+  for (std::uint64_t seed = 100; seed < 140; ++seed) {
+    const auto points = sim::uniform_square(80, 2.0, seed);
+    const Delaunay del(points);
+    const graph::Graph expected = brute_force_delaunay(points);
+    EXPECT_EQ(del.edges().edge_count(), expected.edge_count())
+        << "seed " << seed;
+    for (graph::Edge e : expected.edges()) {
+      EXPECT_TRUE(del.edges().has_edge(e.u, e.v))
+          << "seed " << seed << " misses " << e.u << "-" << e.v;
+    }
+  }
+}
+
+TEST(Delaunay, TwoExponentialChainsTriangulateExactly) {
+  // Two near-collinear chains with exponential gaps: the plain double
+  // orientation and incircle signs are wrong here, so this input needs the
+  // exact predicates to stay planar (E9's adversarial instance).
+  for (const std::size_t m : {10u, 40u}) {
+    const PointSet points = sim::two_exponential_chains(m).points;
+    const Delaunay del(points);
+    const std::size_t n = points.size();
+    EXPECT_EQ(del.edges().edge_count(), n + del.triangles().size() - 1) << m;
+    EXPECT_LE(del.edges().edge_count(), 3 * n - 6) << m;
+    EXPECT_TRUE(graph::is_connected(del.edges())) << m;
+    for (const Triangle& t : del.triangles()) {
+      for (NodeId w = 0; w < n; ++w) {
+        if (w == t.v[0] || w == t.v[1] || w == t.v[2]) continue;
+        EXPECT_FALSE(in_circumcircle(points[t.v[0]], points[t.v[1]],
+                                     points[t.v[2]], points[w]))
+            << "m " << m << " point " << w;
+      }
+    }
+    const graph::Graph mst = graph::euclidean_mst_complete(points);
+    for (graph::Edge e : mst.edges()) {
+      EXPECT_TRUE(del.edges().has_edge(e.u, e.v)) << m;
+    }
+  }
+}
 
 TEST(Delaunay, TinyInputs) {
   EXPECT_EQ(Delaunay(PointSet{}).edges().node_count(), 0u);

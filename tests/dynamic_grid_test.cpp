@@ -434,23 +434,19 @@ INSTANTIATE_TEST_SUITE_P(
 void expect_build_matches_inserts(const std::vector<Vec2>& points,
                                   double cell) {
   sim::Rng rng(points.size());
-  std::vector<double> xs;
-  std::vector<double> ys;
   std::vector<double> ws;
   DynamicGrid one_by_one(cell);
   Model m;
   m.cell = cell;
   for (NodeId v = 0; v < points.size(); ++v) {
     const double w = rng.next_double() < 0.2 ? 0.0 : rng.uniform(0.0, 1.0);
-    xs.push_back(points[v].x);
-    ys.push_back(points[v].y);
     ws.push_back(w);
     one_by_one.insert(v, points[v], w);
     m.points[v] = {points[v], w};
   }
   DynamicGrid bulk(123.0);
   bulk.insert(5, {1.0, 2.0});  // build() replaces earlier contents
-  bulk.build(cell, xs, ys, ws);
+  bulk.build(cell, points, ws);
   ASSERT_EQ(bulk.size(), points.size());
   ASSERT_EQ(bulk.cell_size(), cell);
   ASSERT_EQ(bulk.content_checksum(), one_by_one.content_checksum());
@@ -540,7 +536,7 @@ TEST(DynamicGridBuild, MatchesOneAtATimeInserts) {
 TEST(DynamicGridBuild, EmptyBuildClears) {
   DynamicGrid grid(1.0);
   grid.insert(0, {0.0, 0.0});
-  grid.build(2.0, {}, {}, {});
+  grid.build(2.0, {}, {});
   EXPECT_EQ(grid.size(), 0u);
   EXPECT_EQ(grid.occupied_cells(), 0u);
   EXPECT_EQ(grid.cell_size(), 2.0);

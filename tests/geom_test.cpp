@@ -258,17 +258,7 @@ void expect_index_matches_brute(const PointSet& points, double cell,
                                 const std::vector<Vec2>& centers,
                                 const std::vector<double>& radii) {
   const GridIndex index(points, cell);
-  const GridIndex from_columns = [&] {
-    std::vector<double> xs;
-    std::vector<double> ys;
-    for (const Vec2 p : points) {
-      xs.push_back(p.x);
-      ys.push_back(p.y);
-    }
-    return GridIndex(xs, ys, cell);
-  }();
   ASSERT_EQ(index.size(), points.size());
-  ASSERT_EQ(from_columns.cell_size(), index.cell_size());
   for (const Vec2 c : centers) {
     for (const double r : radii) {
       SCOPED_TRACE(testing::Message() << "center (" << c.x << ", " << c.y
@@ -282,10 +272,6 @@ void expect_index_matches_brute(const PointSet& points, double cell,
       std::vector<NodeId> linear;
       index.for_each_in_disk(c, r, [&](NodeId id) { linear.push_back(id); });
       EXPECT_EQ(linear, expected);
-      std::vector<NodeId> columns;
-      from_columns.for_each_in_disk_squared(
-          c, r * r, [&](NodeId id) { columns.push_back(id); });
-      EXPECT_EQ(columns, expected);
     }
     EXPECT_EQ(index.nearest(c), reference_nearest(points, c, kInvalidNode));
   }

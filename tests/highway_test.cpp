@@ -86,8 +86,9 @@ TEST(Interference1D, MatchesGenericEvaluatorOnRandomInstances) {
     const auto points = inst.to_points();
     const auto radii = core::transmission_radii(chain, points);
     const auto fast = interference_1d(inst.positions(), radii);
-    const auto generic =
-        core::interference_vector(points, radii, core::Strategy::kBrute);
+    const auto generic = core::interference_vector_squared(
+        points, core::transmission_radii_squared(chain, points),
+        core::Strategy::kBrute);
     EXPECT_EQ(fast, generic) << seed;
   }
 }

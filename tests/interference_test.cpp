@@ -103,17 +103,6 @@ TEST(Interference, BoundaryCoverageCounts) {
   EXPECT_EQ(s.per_node[2], 1u);  // node 2 is exactly at distance 1 from node 1
 }
 
-TEST(Interference, NodeInterferenceMatchesVectorEntry) {
-  const auto points = sim::uniform_square(50, 2.0, 123);
-  const graph::Graph udg = graph::build_udg(points, 1.0);
-  const graph::Graph mst = topology::mst_topology(points, udg);
-  const auto radii = transmission_radii(mst, points);
-  const auto vec = interference_vector(points, radii, Strategy::kBrute);
-  for (NodeId v = 0; v < points.size(); v += 5) {
-    EXPECT_EQ(node_interference(points, radii, v), vec[v]);
-  }
-}
-
 class StrategyEquivalence
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};
 
@@ -122,10 +111,12 @@ TEST_P(StrategyEquivalence, AllStrategiesAgree) {
   const auto points = sim::uniform_square(n, 3.0, seed);
   const graph::Graph udg = graph::build_udg(points, 1.0);
   const graph::Graph mst = topology::mst_topology(points, udg);
-  const auto radii = transmission_radii(mst, points);
-  const auto brute = interference_vector(points, radii, Strategy::kBrute);
-  const auto grid = interference_vector(points, radii, Strategy::kGrid);
-  const auto par = interference_vector(points, radii, Strategy::kParallel);
+  const auto radii2 = transmission_radii_squared(mst, points);
+  const auto brute =
+      interference_vector_squared(points, radii2, Strategy::kBrute);
+  const auto grid = interference_vector_squared(points, radii2, Strategy::kGrid);
+  const auto par =
+      interference_vector_squared(points, radii2, Strategy::kParallel);
   EXPECT_EQ(brute, grid);
   EXPECT_EQ(brute, par);
 }
@@ -146,11 +137,11 @@ TEST(Interference, StrategiesAgreeOnExponentialSpread) {
   }
   graph::Graph chain(points.size());
   for (NodeId i = 0; i + 1 < points.size(); ++i) chain.add_edge(i, i + 1);
-  const auto radii = transmission_radii(chain, points);
-  EXPECT_EQ(interference_vector(points, radii, Strategy::kBrute),
-            interference_vector(points, radii, Strategy::kGrid));
-  EXPECT_EQ(interference_vector(points, radii, Strategy::kBrute),
-            interference_vector(points, radii, Strategy::kParallel));
+  const auto radii2 = transmission_radii_squared(chain, points);
+  EXPECT_EQ(interference_vector_squared(points, radii2, Strategy::kBrute),
+            interference_vector_squared(points, radii2, Strategy::kGrid));
+  EXPECT_EQ(interference_vector_squared(points, radii2, Strategy::kBrute),
+            interference_vector_squared(points, radii2, Strategy::kParallel));
 }
 
 TEST(Interference, HistogramSumsToNodeCount) {

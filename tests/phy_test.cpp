@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/sinr.hpp"
 #include "rim/graph/udg.hpp"
@@ -18,20 +17,21 @@ namespace {
 
 /// Power the SINR comparator (kBrute) sums at \p receiver from the
 /// transmitters \p senders, each with its farthest-neighbor radius. The
-/// receiver joins the store silent (radius 0).
+/// receiver is node 0 and silent (radius 0).
 double assessed_power(NodeId receiver, std::span<const NodeId> senders,
                       std::span<const double> radii2,
                       std::span<const geom::Vec2> points,
                       const core::SinrOptions& sinr) {
-  core::NodeSoA store;
-  store.insert(0, points[receiver]);
+  geom::PointSet nodes{points[receiver]};
+  std::vector<double> node_radii2{0.0};
   for (NodeId u : senders) {
-    store.insert(static_cast<NodeId>(store.size()), points[u], radii2[u]);
+    nodes.push_back(points[u]);
+    node_radii2.push_back(radii2[u]);
   }
   const core::SinrAssessor assessor(core::EvalOptions{}
                                         .with_strategy(core::Strategy::kBrute)
                                         .with_sinr(sinr));
-  return assessor.assess(store).power[0];
+  return assessor.assess(nodes, node_radii2).power[0];
 }
 
 /// Every topology link is scheduled, and every link of every slot decodes

@@ -10,7 +10,6 @@
 
 #include "rim/core/assessor.hpp"
 #include "rim/core/interference.hpp"
-#include "rim/core/node_soa.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/graph/graph.hpp"
 #include "rim/highway/highway_instance.hpp"
@@ -36,21 +35,17 @@ namespace {
 using rim::NodeId;
 using rim::core::EvalOptions;
 using rim::core::Model;
-using rim::core::NodeSoA;
 using rim::core::SinrAssessor;
 using rim::core::SinrOptions;
 using rim::core::SinrSummary;
 using rim::core::Strategy;
 
-NodeSoA store_of(const rim::geom::PointSet& points,
-                 const std::vector<double>& radii2) {
-  NodeSoA nodes;
-  nodes.reserve(points.size());
-  for (std::size_t v = 0; v < points.size(); ++v) {
-    nodes.insert(static_cast<NodeId>(v), points[v], radii2[v]);
-  }
-  return nodes;
-}
+/// The node state the assessor takes: node v at points[v] with squared
+/// radius radii2[v].
+struct Nodes {
+  rim::geom::PointSet points;
+  std::vector<double> radii2;
+};
 
 rim::geom::PointSet deployment_points(std::size_t n, std::uint64_t seed) {
   return rim::sim::RandomDeployment(
@@ -60,13 +55,12 @@ rim::geom::PointSet deployment_points(std::size_t n, std::uint64_t seed) {
       .generate();
 }
 
-NodeSoA deployment_store(std::size_t n, std::uint64_t seed) {
+Nodes deployment_store(std::size_t n, std::uint64_t seed) {
   // A seeded uniform deployment with NNF-derived radii — the same node
   // family E23 runs, scaled down.
   const rim::geom::PointSet points = deployment_points(n, seed);
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  return store_of(points,
-                  rim::core::transmission_radii_squared(forest, points));
+  return {points, rim::core::transmission_radii_squared(forest, points)};
 }
 
 void expect_bit_identical(const SinrSummary& a, const SinrSummary& b) {
@@ -84,30 +78,33 @@ void expect_bit_identical(const SinrSummary& a, const SinrSummary& b) {
 
 TEST(SinrAssessor, SimdScalarBitIdenticalAcrossSeedsBrute) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 97ull}) {
-    const NodeSoA nodes = deployment_store(257, seed);  // odd n => SIMD tail
+    const Nodes nodes = deployment_store(257, seed);  // odd n => SIMD tail
     const EvalOptions options = EvalOptions{}.with_strategy(Strategy::kBrute);
     const SinrAssessor assessor(options);
-    expect_bit_identical(assessor.assess(nodes), assessor.assess_scalar(nodes));
+    expect_bit_identical(assessor.assess(nodes.points, nodes.radii2),
+                         assessor.assess_scalar(nodes.points, nodes.radii2));
   }
 }
 
 TEST(SinrAssessor, SimdScalarBitIdenticalAcrossSeedsGrid) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 97ull}) {
-    const NodeSoA nodes = deployment_store(257, seed);
+    const Nodes nodes = deployment_store(257, seed);
     const EvalOptions options = EvalOptions{}.with_strategy(Strategy::kGrid);
     const SinrAssessor assessor(options);
-    expect_bit_identical(assessor.assess(nodes), assessor.assess_scalar(nodes));
+    expect_bit_identical(assessor.assess(nodes.points, nodes.radii2),
+                         assessor.assess_scalar(nodes.points, nodes.radii2));
   }
 }
 
 TEST(SinrAssessor, SimdScalarBitIdenticalUnderHigherAlpha) {
   // alpha = 6 (half_alpha = 3): the ipow ladder beyond the squaring case.
-  const NodeSoA nodes = deployment_store(128, 5);
+  const Nodes nodes = deployment_store(128, 5);
   const EvalOptions options =
       EvalOptions{}.with_strategy(Strategy::kBrute).with_sinr(
           SinrOptions{}.with_half_alpha(3));
   const SinrAssessor assessor(options);
-  expect_bit_identical(assessor.assess(nodes), assessor.assess_scalar(nodes));
+  expect_bit_identical(assessor.assess(nodes.points, nodes.radii2),
+                       assessor.assess_scalar(nodes.points, nodes.radii2));
 }
 
 // --- Strategy invariance of the integer measure. ---
@@ -118,12 +115,14 @@ TEST(SinrAssessor, SignificantCountsIdenticalBruteVsGrid) {
   // uses), so the >= sig comparisons agree pair by pair even though the
   // power sums accumulate in different orders.
   for (const std::uint64_t seed : {7ull, 42ull}) {
-    const NodeSoA nodes = deployment_store(300, seed);
+    const Nodes nodes = deployment_store(300, seed);
     const SinrAssessor assessor;
     const SinrSummary brute =
-        assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kBrute));
+        assessor.assess(nodes.points, nodes.radii2,
+                        EvalOptions{}.with_strategy(Strategy::kBrute));
     const SinrSummary grid =
-        assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kGrid));
+        assessor.assess(nodes.points, nodes.radii2,
+                        EvalOptions{}.with_strategy(Strategy::kGrid));
     EXPECT_EQ(brute.per_node, grid.per_node);
     EXPECT_EQ(brute.max, grid.max);
     EXPECT_EQ(brute.total, grid.total);
@@ -139,7 +138,7 @@ TEST(SinrAssessor, SignificantCountsIdenticalBruteVsGrid) {
 
 /// Seeded points with independent radii in [0.05, 1.5) — or 0 for every
 /// zero_every-th node when zero_every > 0.
-NodeSoA random_store(const rim::geom::PointSet& points, std::uint64_t seed,
+Nodes random_store(const rim::geom::PointSet& points, std::uint64_t seed,
                      std::size_t zero_every = 0) {
   rim::sim::Rng rng(seed);
   std::vector<double> radii2(points.size());
@@ -147,29 +146,34 @@ NodeSoA random_store(const rim::geom::PointSet& points, std::uint64_t seed,
     const double r = rng.uniform(0.05, 1.5);
     radii2[v] = zero_every > 0 && v % zero_every == 0 ? 0.0 : r * r;
   }
-  return store_of(points, radii2);
+  return {points, radii2};
 }
 
 /// The scatter at every stripe count must reproduce the kGrid power bits
 /// (one stripe, SIMD) and the kGrid scalar twin, in both kernel flavours,
 /// and kParallel through the public API must match too.
-void expect_stripe_invariant(const NodeSoA& nodes) {
+void expect_stripe_invariant(const Nodes& nodes) {
   const SinrAssessor assessor;
   const EvalOptions grid = EvalOptions{}.with_strategy(Strategy::kGrid);
-  const SinrSummary reference = assessor.assess(nodes, grid);
-  expect_bit_identical(reference, assessor.assess_scalar(nodes, grid));
+  const SinrSummary reference =
+      assessor.assess(nodes.points, nodes.radii2, grid);
+  expect_bit_identical(
+      reference, assessor.assess_scalar(nodes.points, nodes.radii2, grid));
   expect_bit_identical(
       reference,
-      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kParallel)));
+      assessor.assess(nodes.points, nodes.radii2,
+                      EvalOptions{}.with_strategy(Strategy::kParallel)));
   expect_bit_identical(
-      reference, assessor.assess_scalar(
-                     nodes, EvalOptions{}.with_strategy(Strategy::kParallel)));
+      reference,
+      assessor.assess_scalar(nodes.points, nodes.radii2,
+                             EvalOptions{}.with_strategy(Strategy::kParallel)));
   for (const std::size_t stripes : {1u, 2u, 3u, 8u}) {
     SCOPED_TRACE(testing::Message() << "stripes " << stripes);
     for (const bool scalar : {false, true}) {
-      expect_bit_identical(reference, rim::core::detail::scatter_striped(
-                                          nodes, SinrOptions{}, stripes,
-                                          scalar));
+      expect_bit_identical(reference,
+                           rim::core::detail::scatter_striped(
+                               nodes.points, nodes.radii2, SinrOptions{},
+                               stripes, scalar));
     }
   }
 }
@@ -229,18 +233,19 @@ TEST(SinrAssessor, StripedScatterBitIdenticalWithFewerNodesThanStripes) {
 
 /// The scatter on an index whose cell the cap has coarsened: stripe/twin
 /// bit-identity, and significant counts equal to the kBrute gather's.
-void expect_capped_grid_exact(const NodeSoA& nodes) {
+void expect_capped_grid_exact(const Nodes& nodes) {
   expect_stripe_invariant(nodes);
   const SinrAssessor assessor;
-  const SinrSummary brute =
-      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kBrute));
-  const SinrSummary grid =
-      assessor.assess(nodes, EvalOptions{}.with_strategy(Strategy::kGrid));
+  const SinrSummary brute = assessor.assess(
+      nodes.points, nodes.radii2, EvalOptions{}.with_strategy(Strategy::kBrute));
+  const SinrSummary grid = assessor.assess(
+      nodes.points, nodes.radii2, EvalOptions{}.with_strategy(Strategy::kGrid));
   EXPECT_EQ(brute.per_node, grid.per_node);
   for (const std::size_t stripes : {1u, 2u, 3u, 8u}) {
-    EXPECT_EQ(brute.per_node, rim::core::detail::scatter_striped(
-                                  nodes, SinrOptions{}, stripes, false)
-                                  .per_node)
+    EXPECT_EQ(brute.per_node,
+              rim::core::detail::scatter_striped(nodes.points, nodes.radii2,
+                                                 SinrOptions{}, stripes, false)
+                  .per_node)
         << "stripes " << stripes;
   }
 }
@@ -253,8 +258,8 @@ TEST(SinrAssessor, CappedGridExactOnExponentialChain) {
   const rim::geom::PointSet points =
       rim::highway::exponential_chain(48).to_points();
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  expect_capped_grid_exact(store_of(
-      points, rim::core::transmission_radii_squared(forest, points)));
+  expect_capped_grid_exact(
+      Nodes{points, rim::core::transmission_radii_squared(forest, points)});
   expect_capped_grid_exact(random_store(points, 31));
 }
 
@@ -268,8 +273,8 @@ TEST(SinrAssessor, CappedGridExactOnTwoFarApartClusters) {
     points.push_back({ox + rng.uniform(0.0, 3.0), ox + rng.uniform(0.0, 3.0)});
   }
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  expect_capped_grid_exact(store_of(
-      points, rim::core::transmission_radii_squared(forest, points)));
+  expect_capped_grid_exact(
+      Nodes{points, rim::core::transmission_radii_squared(forest, points)});
   expect_capped_grid_exact(random_store(points, 34));
 }
 
@@ -281,22 +286,24 @@ TEST(SinrAssessor, AssessorModelSinrProjectsSignificantCounts) {
   const rim::core::InterferenceSummary via_assessor = rim::core::Assessor{}.assess(
       forest, points,
       EvalOptions{}.with_strategy(Strategy::kGrid).with_model(Model::kSinr));
-  const SinrSummary direct = SinrAssessor{}.assess(deployment_store(150, 13));
+  const Nodes nodes = deployment_store(150, 13);
+  const SinrSummary direct = SinrAssessor{}.assess(nodes.points, nodes.radii2);
   EXPECT_EQ(via_assessor.per_node, direct.per_node);
   EXPECT_EQ(via_assessor.max, direct.max);
 }
 
-TEST(SinrAssessor, TopologyOverloadMatchesNodeSoAPath) {
+TEST(SinrAssessor, TopologyOverloadMatchesRadiiPath) {
   const rim::geom::PointSet points =
       rim::sim::RandomDeployment(
           rim::sim::RandomDeployment::Params{}.with_nodes(120).with_side(3.0),
           21)
           .generate();
   const rim::graph::Graph forest = rim::topology::nearest_neighbor_forest(points);
-  const NodeSoA nodes = store_of(
-      points, rim::core::transmission_radii_squared(forest, points));
+  const std::vector<double> radii2 =
+      rim::core::transmission_radii_squared(forest, points);
   const SinrAssessor assessor;
-  expect_bit_identical(assessor.assess(forest, points), assessor.assess(nodes));
+  expect_bit_identical(assessor.assess(forest, points),
+                       assessor.assess(points, radii2));
 }
 
 // --- Kernel edge cases (simd:: layer, scalar twin as the oracle). ---
@@ -392,27 +399,27 @@ TEST(SinrKernels, ScatterMatchesScalarOnBoundaryAndDenormals) {
 
 TEST(SinrAssessor, EmptyAndSingletonStores) {
   const SinrAssessor assessor;
-  const SinrSummary empty = assessor.assess(NodeSoA{});
+  const Nodes none;
+  const SinrSummary empty = assessor.assess(none.points, none.radii2);
   EXPECT_EQ(empty.max, 0u);
   EXPECT_EQ(empty.total, 0u);
   EXPECT_EQ(empty.power.size(), 0u);
 
-  NodeSoA one;
-  one.insert(0, {1.0, 1.0}, 4.0);
-  const SinrSummary single = assessor.assess(one);
+  const Nodes one{{{1.0, 1.0}}, {4.0}};
+  const SinrSummary single = assessor.assess(one.points, one.radii2);
   EXPECT_EQ(single.max, 0u);
   EXPECT_EQ(single.power[0], 0.0);
-  expect_bit_identical(single, assessor.assess_scalar(one));
+  expect_bit_identical(single, assessor.assess_scalar(one.points, one.radii2));
 }
 
 TEST(SinrAssessor, AllCoincidentNodes) {
   // Every pair has d2 == 0: nothing is eligible under either strategy.
-  NodeSoA nodes;
-  for (NodeId v = 0; v < 8; ++v) nodes.insert(v, {2.0, 3.0}, 1.0);
+  const Nodes nodes{rim::geom::PointSet(8, {2.0, 3.0}),
+                    std::vector<double>(8, 1.0)};
   const SinrAssessor assessor;
   for (const Strategy strategy : {Strategy::kBrute, Strategy::kGrid}) {
-    const SinrSummary s =
-        assessor.assess(nodes, EvalOptions{}.with_strategy(strategy));
+    const SinrSummary s = assessor.assess(
+        nodes.points, nodes.radii2, EvalOptions{}.with_strategy(strategy));
     EXPECT_EQ(s.max, 0u);
     EXPECT_EQ(s.max_power, 0.0);
     EXPECT_EQ(s.total, 0u);
