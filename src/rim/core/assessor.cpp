@@ -148,27 +148,4 @@ NodeAdditionImpact Assessor::assess_addition(std::span<const geom::Vec2> points,
   return impact;
 }
 
-NodeRemovalImpact Assessor::assess_removal(std::span<const geom::Vec2> points,
-                                           const graph::Graph& topology,
-                                           NodeId victim) const {
-  assert(victim < topology.node_count());
-  NodeRemovalImpact impact;
-
-  Scenario scenario(points, topology, options_);
-  const Assessment assessment =
-      assess(scenario, Mutation::remove_node(victim));
-
-  impact.receiver_before = assessment.max_before;
-  impact.receiver_after = assessment.max_after;
-  // The victim's own delta is -I(victim); only survivors can increase.
-  for (const std::int64_t delta : assessment.delta_per_node) {
-    if (delta > 0) {
-      impact.receiver_max_node_increase =
-          std::max(impact.receiver_max_node_increase,
-                   static_cast<std::uint32_t>(delta));
-    }
-  }
-  return impact;
-}
-
 }  // namespace rim::core

@@ -19,8 +19,9 @@
 ///    the one full evaluator that Scenario's fallback also calls.
 ///  - assess(Scenario&, Mutation...): impact of a mutation sequence,
 ///    measured on a probe copy without disturbing the scenario.
-///  - assess_addition / assess_removal: the structured churn reports for
-///    experiments E1/E11, including the sender-centric comparison.
+///  - assess_addition: the structured churn report for experiments E1/E11,
+///    including the sender-centric comparison. A removal is
+///    assess(scenario, Mutation::remove_node(v)).
 ///
 /// Model selection (DESIGN.md §12): EvalOptions.model picks which
 /// interference model the assessment runs — kReceiverCentric (the paper's
@@ -64,18 +65,10 @@ struct NodeAdditionImpact {
   std::uint32_t sender_after = 0;
 };
 
-struct NodeRemovalImpact {
-  std::uint32_t receiver_before = 0;
-  std::uint32_t receiver_after = 0;
-  /// Max increase of I(v) over surviving nodes (0 in the receiver model
-  /// when no repair edges are added — a property the tests assert).
-  std::uint32_t receiver_max_node_increase = 0;
-};
-
 class Assessor {
  public:
   /// \p options seeds the topology overloads that take none and the
-  /// temporary Scenarios built by assess_addition / assess_removal.
+  /// temporary Scenario built by assess_addition.
   explicit Assessor(EvalOptions options = {}) : options_(options) {}
 
   // --- one-shot: summary of a topology ------------------------------------
@@ -121,12 +114,6 @@ class Assessor {
       std::span<const geom::Vec2> points, const graph::Graph& topology,
       geom::Vec2 new_point,
       AttachPolicy policy = AttachPolicy::kNearestNeighbor) const;
-
-  /// Impact of removing node \p victim (and its incident edges) without
-  /// repair.
-  [[nodiscard]] NodeRemovalImpact assess_removal(
-      std::span<const geom::Vec2> points, const graph::Graph& topology,
-      NodeId victim) const;
 
   [[nodiscard]] const EvalOptions& options() const { return options_; }
 

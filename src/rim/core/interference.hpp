@@ -101,36 +101,17 @@ struct SinrOptions {
     return significant_rel * noise;
   }
 
-  // --- builder-style setters (match EvalOptions) ---------------------------
+  // --- builder-style setter (match EvalOptions) ----------------------------
   SinrOptions& with_half_alpha(int h) {
     half_alpha = h;
-    return *this;
-  }
-  SinrOptions& with_beta(double b) {
-    beta = b;
-    return *this;
-  }
-  SinrOptions& with_noise(double n) {
-    noise = n;
-    return *this;
-  }
-  SinrOptions& with_margin(double m) {
-    margin = m;
-    return *this;
-  }
-  SinrOptions& with_far_field_rel(double rel) {
-    far_field_rel = rel;
-    return *this;
-  }
-  SinrOptions& with_significant_rel(double rel) {
-    significant_rel = rel;
     return *this;
   }
 };
 
 /// The one evaluation-configuration surface shared by the free evaluators,
-/// core::Scenario, highway::local_search, and ext2d — every threshold that
-/// used to be a scattered constant lives here, overridable per call site.
+/// core::Scenario, highway::local_search, and ext2d. The kAuto cut-overs and
+/// the incremental fallback threshold are constants: they trade speed, never
+/// results.
 struct EvalOptions {
   Strategy strategy = Strategy::kAuto;
 
@@ -143,26 +124,22 @@ struct EvalOptions {
   SinrOptions sinr;
 
   /// Strategy::kAuto resolution (see resolve()): instances up to
-  /// auto_brute_max_nodes use the O(n^2) oracle (cheaper than building a
-  /// grid), up to auto_grid_max_nodes the serial grid, and anything larger
+  /// kAutoBruteMaxNodes use the O(n^2) oracle (cheaper than building a
+  /// grid), up to kAutoGridMaxNodes the serial grid, and anything larger
   /// the parallel grid.
-  std::size_t auto_brute_max_nodes = 64;
-  std::size_t auto_grid_max_nodes = 4096;
+  static constexpr std::size_t kAutoBruteMaxNodes = 64;
+  static constexpr std::size_t kAutoGridMaxNodes = 4096;
 
   /// Scenario's incremental-vs-full fallback: a single delta estimated to
-  /// touch more than max(touched_floor, max_touched_fraction * n) nodes
+  /// touch more than max(kTouchedFloor, kMaxTouchedFraction * n) nodes
   /// invalidates the cache instead of patching it.
-  double max_touched_fraction = 0.25;
-  std::size_t touched_floor = 64;
+  static constexpr double kMaxTouchedFraction = 0.25;
+  static constexpr std::size_t kTouchedFloor = 64;
 
   // --- builder-style setters -----------------------------------------------
-  // Chainable named setters so call sites read as intent instead of
-  // designated-initializer field soup:
+  // Chainable named setters so call sites read as intent:
   //
-  //   EvalOptions{}.with_strategy(Strategy::kGrid).with_touched_floor(128)
-  //
-  // Each returns *this by reference; the defaults above apply to anything
-  // left unset.
+  //   EvalOptions{}.with_strategy(Strategy::kGrid).with_model(Model::kSinr)
 
   EvalOptions& with_strategy(Strategy s) {
     strategy = s;
@@ -178,42 +155,22 @@ struct EvalOptions {
     sinr = s;
     return *this;
   }
-  /// kAuto cutover to the O(n^2) oracle (default 64 nodes).
-  EvalOptions& with_auto_brute_max_nodes(std::size_t n) {
-    auto_brute_max_nodes = n;
-    return *this;
-  }
-  /// kAuto cutover to the serial grid (default 4096 nodes).
-  EvalOptions& with_auto_grid_max_nodes(std::size_t n) {
-    auto_grid_max_nodes = n;
-    return *this;
-  }
-  /// Incremental fallback fraction (default 0.25 of the node count).
-  EvalOptions& with_max_touched_fraction(double fraction) {
-    max_touched_fraction = fraction;
-    return *this;
-  }
-  /// Incremental fallback floor (default 64 touched nodes).
-  EvalOptions& with_touched_floor(std::size_t floor) {
-    touched_floor = floor;
-    return *this;
-  }
 
   /// The concrete strategy `strategy` resolves to for an instance of
   /// \p node_count nodes; non-kAuto strategies pass through unchanged.
   [[nodiscard]] Strategy resolve(std::size_t node_count) const {
     if (strategy != Strategy::kAuto) return strategy;
-    if (node_count <= auto_brute_max_nodes) return Strategy::kBrute;
-    if (node_count <= auto_grid_max_nodes) return Strategy::kGrid;
+    if (node_count <= kAutoBruteMaxNodes) return Strategy::kBrute;
+    if (node_count <= kAutoGridMaxNodes) return Strategy::kGrid;
     return Strategy::kParallel;
   }
 
   /// The incremental fallback threshold for an instance of \p node_count
-  /// nodes (see max_touched_fraction).
-  [[nodiscard]] std::size_t touched_threshold(std::size_t node_count) const {
+  /// nodes (see kMaxTouchedFraction).
+  [[nodiscard]] static std::size_t touched_threshold(std::size_t node_count) {
     const auto scaled = static_cast<std::size_t>(
-        max_touched_fraction * static_cast<double>(node_count));
-    return touched_floor > scaled ? touched_floor : scaled;
+        kMaxTouchedFraction * static_cast<double>(node_count));
+    return kTouchedFloor > scaled ? kTouchedFloor : scaled;
   }
 };
 

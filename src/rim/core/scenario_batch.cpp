@@ -346,7 +346,7 @@ BatchResult Scenario::apply_batch(std::span<const Mutation> batch,
   stats_.batch_recounts += recount_count;
 
   // ---- 3. Defer when the regions rival a full evaluation --------------
-  const std::size_t threshold = options_.touched_threshold(points_.size());
+  const std::size_t threshold = EvalOptions::touched_threshold(points_.size());
   const double max_radius = std::sqrt(std::max(max_radius2_, 0.0));
   std::size_t estimated = 0;
   bool defer = false;

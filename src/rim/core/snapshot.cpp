@@ -19,6 +19,10 @@ constexpr char kMagic[8] = {'R', 'I', 'M', 'S', 'N', 'A', 'P', '1'};
 // apply_batch now has one executor, so encoders write the values every
 // default snapshot carried and decoders ignore them (after range-checking
 // the mode byte, which keeps an out-of-range value a corruption error).
+// The four threshold slots between them (auto_brute_max_nodes,
+// auto_grid_max_nodes, max_touched_fraction, touched_floor) are reserved
+// the same way: the EvalOptions constants are written, and any value is
+// accepted on read.
 constexpr std::uint8_t kReservedExecution = 1;
 constexpr std::uint8_t kReservedExecutionMax = 2;
 constexpr std::uint64_t kReservedTaskFloor = 4;
@@ -124,10 +128,10 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
   w.f64(s.cell_size);
   w.u8(static_cast<std::uint8_t>(s.options.strategy));
   w.u8(kReservedExecution);
-  w.u64(s.options.auto_brute_max_nodes);
-  w.u64(s.options.auto_grid_max_nodes);
-  w.f64(s.options.max_touched_fraction);
-  w.u64(s.options.touched_floor);
+  w.u64(EvalOptions::kAutoBruteMaxNodes);
+  w.u64(EvalOptions::kAutoGridMaxNodes);
+  w.f64(EvalOptions::kMaxTouchedFraction);
+  w.u64(EvalOptions::kTouchedFloor);
   w.u64(kReservedTaskFloor);
   for (const geom::Vec2 p : s.points) {
     w.f64(p.x);
@@ -407,12 +411,11 @@ bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
   out.edge_count = static_cast<std::size_t>(edge_count);
   std::uint8_t strategy = 0;
   std::uint8_t execution = 0;
-  std::uint64_t task_floor = 0;
-  if (!r.u8(strategy) || !r.u8(execution) ||
-      !r.u64(out.options.auto_brute_max_nodes) ||
-      !r.u64(out.options.auto_grid_max_nodes) ||
-      !r.f64(out.options.max_touched_fraction) ||
-      !r.u64(out.options.touched_floor) || !r.u64(task_floor)) {
+  std::uint64_t reserved = 0;  // the threshold slots and the task floor
+  double reserved_fraction = 0.0;
+  if (!r.u8(strategy) || !r.u8(execution) || !r.u64(reserved) ||
+      !r.u64(reserved) || !r.f64(reserved_fraction) || !r.u64(reserved) ||
+      !r.u64(reserved)) {
     return decode_fail(error, "truncated options");
   }
   if (strategy > static_cast<std::uint8_t>(Strategy::kAuto)) {

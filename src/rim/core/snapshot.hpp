@@ -41,9 +41,10 @@ struct Snapshot {
   /// Bumped on any incompatible layout change; from_bytes/from_json reject
   /// other versions (no silent migrations — the compatibility policy is
   /// "same version restores, anything else errors", DESIGN.md §7).
-  /// Version 2: EvalOptions grew the batch execution mode. The mode byte
-  /// and the task floor after it are reserved fields now (written as 1 and
-  /// 4, ignored on decode), so the layout and the version stay.
+  /// Version 2: EvalOptions grew the batch execution mode. The mode byte,
+  /// the four threshold slots and the task floor after them are reserved
+  /// fields now (written as 1, the EvalOptions constants and 4, ignored on
+  /// decode), so the layout and the version stay.
   static constexpr std::uint32_t kVersion = 2;
 
   bool cache_valid = false;  ///< interference[] present (engine not dirty)

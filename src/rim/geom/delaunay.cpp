@@ -21,10 +21,6 @@ constexpr double kEpsilon = 0x1p-53;
 constexpr double kOrientBound = (3.0 + 16.0 * kEpsilon) * kEpsilon;
 constexpr double kInCircleBound = (10.0 + 96.0 * kEpsilon) * kEpsilon;
 
-/// A nonoverlapping expansion: components in increasing magnitude whose
-/// exact sum is the value; its sign is the sign of the last component.
-using Expansion = std::vector<double>;
-
 /// a + b == sum + err exactly.
 void two_sum(double a, double b, double& sum, double& err) {
   sum = a + b;
@@ -33,50 +29,133 @@ void two_sum(double a, double b, double& sum, double& err) {
   err = (a - a_virtual) + (b - b_virtual);
 }
 
-Expansion difference(double a, double b) {
+/// A nonoverlapping expansion of at most N components in increasing
+/// magnitude, zeros eliminated: their exact sum is the value, and its sign
+/// is the sign of the last component (zero is the one component 0.0). The
+/// capacity is each predicate's bound, so the exact path never allocates.
+/// Only c[0, size) is meaningful.
+template <std::size_t N>
+struct Expansion {
+  std::size_t size = 0;
+  double c[N];
+
+  [[nodiscard]] int sign() const {
+    const double top = c[size - 1];
+    return top > 0.0 ? 1 : (top < 0.0 ? -1 : 0);
+  }
+};
+
+/// h = e + f (Shewchuk's fast expansion sum with zero elimination): one
+/// linear merge by increasing magnitude feeding one two-sum chain. \p h
+/// holds ne + nf components and aliases neither input; returns its size.
+std::size_t expansion_sum(const double* e, std::size_t ne, const double* f,
+                          std::size_t nf, double* h) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  const auto smaller = [&] {
+    if (j == nf || (i < ne && std::abs(e[i]) < std::abs(f[j]))) return e[i++];
+    return f[j++];
+  };
+  std::size_t k = 0;
+  double q = smaller();
+  while (i < ne || j < nf) {
+    double err = 0.0;
+    two_sum(q, smaller(), q, err);
+    if (err != 0.0) h[k++] = err;
+  }
+  if (q != 0.0 || k == 0) h[k++] = q;
+  return k;
+}
+
+/// h = e * b (Shewchuk's scale expansion with zero elimination): each
+/// component product is exactly product + its std::fma remainder. \p h
+/// holds 2 ne components and does not alias \p e; returns its size.
+std::size_t scale_expansion(const double* e, std::size_t ne, double b,
+                            double* h) {
+  double q = e[0] * b;
+  std::size_t k = 0;
+  if (const double low = std::fma(e[0], b, -q); low != 0.0) h[k++] = low;
+  for (std::size_t i = 1; i < ne; ++i) {
+    const double product = e[i] * b;
+    const double low = std::fma(e[i], b, -product);
+    double sum = 0.0;
+    double err = 0.0;
+    two_sum(q, low, sum, err);
+    if (err != 0.0) h[k++] = err;
+    two_sum(product, sum, q, err);
+    if (err != 0.0) h[k++] = err;
+  }
+  if (q != 0.0 || k == 0) h[k++] = q;
+  return k;
+}
+
+/// a - b as an expansion.
+Expansion<2> difference(double a, double b) {
+  Expansion<2> d;
   double sum = 0.0;
   double err = 0.0;
   two_sum(a, -b, sum, err);
-  return err != 0.0 ? Expansion{err, sum} : Expansion{sum};
+  if (err != 0.0) d.c[d.size++] = err;
+  d.c[d.size++] = sum;
+  return d;
 }
 
-/// e + f (grow-expansion by each component of f, zeros dropped).
-Expansion add(Expansion e, const Expansion& f) {
-  Expansion grown;
-  for (const double b : f) {
-    grown.clear();
-    double q = b;
-    for (const double x : e) {
-      double err = 0.0;
-      two_sum(q, x, q, err);
-      if (err != 0.0) grown.push_back(err);
-    }
-    if (q != 0.0 || grown.empty()) grown.push_back(q);
-    e.swap(grown);
-  }
-  return e;
-}
-
-/// e * f: every component product is exactly product + its std::fma
-/// remainder, a two-component expansion.
-Expansion multiply(const Expansion& e, const Expansion& f) {
-  Expansion sum{0.0};
-  for (const double x : e) {
-    for (const double y : f) {
-      const double product = x * y;
-      sum = add(std::move(sum), {std::fma(x, y, -product), product});
-    }
-  }
+template <std::size_t N, std::size_t M>
+Expansion<N + M> operator+(const Expansion<N>& e, const Expansion<M>& f) {
+  Expansion<N + M> sum;
+  sum.size = expansion_sum(e.c, e.size, f.c, f.size, sum.c);
   return sum;
 }
 
-Expansion negate(Expansion e) {
-  for (double& x : e) x = -x;
+template <std::size_t N>
+Expansion<N> operator-(Expansion<N> e) {
+  for (std::size_t i = 0; i < e.size; ++i) e.c[i] = -e.c[i];
   return e;
 }
 
-int sign(const Expansion& e) {
-  return e.back() > 0.0 ? 1 : (e.back() < 0.0 ? -1 : 0);
+/// e * f: the sum over f's components of e scaled by each.
+template <std::size_t N, std::size_t M>
+Expansion<2 * N * M> operator*(const Expansion<N>& e, const Expansion<M>& f) {
+  Expansion<2 * N * M> product;
+  double scaled[2 * N];
+  double partial[2 * N * M];
+  product.size = scale_expansion(e.c, e.size, f.c[0], product.c);
+  for (std::size_t j = 1; j < f.size; ++j) {
+    const std::size_t n = scale_expansion(e.c, e.size, f.c[j], scaled);
+    std::copy_n(product.c, product.size, partial);
+    product.size = expansion_sum(partial, product.size, scaled, n, product.c);
+  }
+  return product;
+}
+
+// The exact stages stay out of line: their expansions take kilobytes of
+// stack, which the filtered fast paths should not reserve (and probe) on
+// every call.
+
+[[gnu::noinline]] int orientation_exact(Vec2 a, Vec2 b, Vec2 c) {
+  return (difference(a.x, c.x) * difference(b.y, c.y) +
+          -(difference(a.y, c.y) * difference(b.x, c.x)))
+      .sign();
+}
+
+[[gnu::noinline]] int incircle_exact(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
+  const Expansion<2> ax = difference(a.x, d.x);
+  const Expansion<2> ay = difference(a.y, d.y);
+  const Expansion<2> bx = difference(b.x, d.x);
+  const Expansion<2> by = difference(b.y, d.y);
+  const Expansion<2> cx = difference(c.x, d.x);
+  const Expansion<2> cy = difference(c.y, d.y);
+  const auto lift = [](const Expansion<2>& x, const Expansion<2>& y) {
+    return x * x + y * y;
+  };
+  const auto cross2 = [](const Expansion<2>& x1, const Expansion<2>& y1,
+                         const Expansion<2>& x2, const Expansion<2>& y2) {
+    return x1 * y2 + -(x2 * y1);
+  };
+  return (lift(ax, ay) * cross2(bx, by, cx, cy) +
+          lift(bx, by) * cross2(cx, cy, ax, ay) +
+          lift(cx, cy) * cross2(ax, ay, bx, by))
+      .sign();
 }
 
 /// Sign of the orientation of (a, b, c): +1 counter-clockwise, -1
@@ -88,10 +167,7 @@ int orientation(Vec2 a, Vec2 b, Vec2 c) {
   const double bound = kOrientBound * (std::abs(left) + std::abs(right));
   if (det > bound) return 1;
   if (-det > bound) return -1;
-  const Expansion exact =
-      add(multiply(difference(a.x, c.x), difference(b.y, c.y)),
-          negate(multiply(difference(a.y, c.y), difference(b.x, c.x))));
-  return sign(exact);
+  return orientation_exact(a, b, c);
 }
 
 /// Sign of the incircle determinant of (a, b, c, d): +1 when d is strictly
@@ -121,25 +197,7 @@ int incircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
   const double bound = kInCircleBound * permanent;
   if (det > bound) return 1;
   if (-det > bound) return -1;
-
-  const Expansion ax = difference(a.x, d.x);
-  const Expansion ay = difference(a.y, d.y);
-  const Expansion bx = difference(b.x, d.x);
-  const Expansion by = difference(b.y, d.y);
-  const Expansion cx = difference(c.x, d.x);
-  const Expansion cy = difference(c.y, d.y);
-  const auto lift = [](const Expansion& x, const Expansion& y) {
-    return add(multiply(x, x), multiply(y, y));
-  };
-  const auto cross2 = [](const Expansion& x1, const Expansion& y1,
-                         const Expansion& x2, const Expansion& y2) {
-    return add(multiply(x1, y2), negate(multiply(x2, y1)));
-  };
-  const Expansion exact =
-      add(add(multiply(lift(ax, ay), cross2(bx, by, cx, cy)),
-              multiply(lift(bx, by), cross2(cx, cy, ax, ay))),
-          multiply(lift(cx, cy), cross2(ax, ay, bx, by)));
-  return sign(exact);
+  return incircle_exact(a, b, c, d);
 }
 
 }  // namespace

@@ -90,13 +90,6 @@ GridIndex::Rect GridIndex::cell_rect(const Aabb& box) const {
           clamp_cell(box.hi.y - box_.lo.y, ny_)};
 }
 
-std::vector<NodeId> GridIndex::query_disk(Vec2 center, double radius) const {
-  std::vector<NodeId> out;
-  for_each_in_disk(center, radius, [&out](NodeId id) { out.push_back(id); });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::size_t GridIndex::count_in_disk(Vec2 center, double radius) const {
   std::size_t count = 0;
   for_each_in_disk(center, radius, [&count](NodeId) { ++count; });

@@ -103,10 +103,6 @@ class GridIndex {
     for_each_in_disk_squared(center, radius * radius, fn);
   }
 
-  /// Ids of all points within closed distance \p radius of \p center, in
-  /// ascending order.
-  [[nodiscard]] std::vector<NodeId> query_disk(Vec2 center, double radius) const;
-
   /// Count of points within closed distance \p radius of \p center.
   [[nodiscard]] std::size_t count_in_disk(Vec2 center, double radius) const;
 

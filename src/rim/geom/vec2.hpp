@@ -42,9 +42,6 @@ struct Vec2 {
 /// representable coordinates and avoids the sqrt.
 [[nodiscard]] constexpr double norm2(Vec2 a) { return dot(a, a); }
 
-/// Euclidean norm.
-[[nodiscard]] inline double norm(Vec2 a) { return std::sqrt(norm2(a)); }
-
 /// Squared distance between two points.
 [[nodiscard]] constexpr double dist2(Vec2 a, Vec2 b) { return norm2(a - b); }
 

@@ -62,12 +62,4 @@ NodeId Graph::add_node() {
   return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
-Graph Graph::union_with(const Graph& other) const {
-  assert(node_count() == other.node_count());
-  Graph out(node_count());
-  for (Edge e : edges_) out.add_edge(e.u, e.v);
-  for (Edge e : other.edges_) out.add_edge(e.u, e.v);
-  return out;
-}
-
 }  // namespace rim::graph

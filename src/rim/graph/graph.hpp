@@ -78,9 +78,6 @@ class Graph {
   /// Append an isolated node, returning its id.
   NodeId add_node();
 
-  /// Union of this graph's and \p other's edge sets (node counts must match).
-  [[nodiscard]] Graph union_with(const Graph& other) const;
-
  private:
   std::vector<std::vector<NodeId>> adjacency_;
   std::vector<Edge> edges_;

@@ -4,8 +4,8 @@
 
 namespace rim::graph {
 
-std::vector<double> dijkstra(const Graph& g, NodeId source,
-                             const std::function<double(Edge)>& weight) {
+std::vector<double> euclidean_dijkstra(const Graph& g, NodeId source,
+                                       std::span<const geom::Vec2> points) {
   std::vector<double> dist(g.node_count(), kUnreachable);
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
@@ -16,7 +16,8 @@ std::vector<double> dijkstra(const Graph& g, NodeId source,
     heap.pop();
     if (d > dist[u]) continue;
     for (NodeId v : g.neighbors(u)) {
-      const double w = weight(Edge{u, v}.canonical());
+      const Edge e = Edge{u, v}.canonical();
+      const double w = geom::dist(points[e.u], points[e.v]);
       if (dist[u] + w < dist[v]) {
         dist[v] = dist[u] + w;
         heap.emplace(dist[v], v);
@@ -24,23 +25,6 @@ std::vector<double> dijkstra(const Graph& g, NodeId source,
     }
   }
   return dist;
-}
-
-std::vector<double> euclidean_dijkstra(const Graph& g, NodeId source,
-                                       std::span<const geom::Vec2> points) {
-  return dijkstra(g, source,
-                  [points](Edge e) { return geom::dist(points[e.u], points[e.v]); });
-}
-
-std::vector<double> euclidean_apsp(const Graph& g,
-                                   std::span<const geom::Vec2> points) {
-  const std::size_t n = g.node_count();
-  std::vector<double> matrix(n * n, kUnreachable);
-  for (NodeId s = 0; s < n; ++s) {
-    const auto row = euclidean_dijkstra(g, s, points);
-    std::copy(row.begin(), row.end(), matrix.begin() + static_cast<std::ptrdiff_t>(s * n));
-  }
-  return matrix;
 }
 
 }  // namespace rim::graph

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -8,25 +8,16 @@
 #include "rim/graph/graph.hpp"
 
 /// \file shortest_path.hpp
-/// Weighted single-source shortest paths (Dijkstra). Used for spanner /
+/// Euclidean single-source shortest paths (Dijkstra). Used for spanner /
 /// stretch measurements and by LISE's spanner test.
 
 namespace rim::graph {
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-/// Dijkstra from \p source with edge weights from \p weight (must be >= 0).
-/// dist[v] == kUnreachable when v is not reachable.
-[[nodiscard]] std::vector<double> dijkstra(
-    const Graph& g, NodeId source, const std::function<double(Edge)>& weight);
-
-/// Dijkstra with Euclidean edge lengths.
+/// Dijkstra from \p source with Euclidean edge lengths. dist[v] ==
+/// kUnreachable when v is not reachable.
 [[nodiscard]] std::vector<double> euclidean_dijkstra(
     const Graph& g, NodeId source, std::span<const geom::Vec2> points);
-
-/// All-pairs Euclidean shortest-path matrix (n x n, row-major). O(n m log n);
-/// intended for the modest instance sizes of the experiments.
-[[nodiscard]] std::vector<double> euclidean_apsp(
-    const Graph& g, std::span<const geom::Vec2> points);
 
 }  // namespace rim::graph

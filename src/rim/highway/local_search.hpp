@@ -25,10 +25,9 @@ struct LocalSearchParams {
   /// UDG edges crossing the cut (0 = all). Each candidate costs a full
   /// interference evaluation, so dense UDGs need a cap.
   std::size_t max_candidates_per_cut = 0;
-  /// Evaluation configuration for the probing Scenario (strategy and
-  /// incremental thresholds) — the shared core::EvalOptions surface.
-  /// Configure with the builder setters, e.g.
-  /// `core::EvalOptions{}.with_touched_floor(128)`.
+  /// Evaluation configuration for the probing Scenario — the shared
+  /// core::EvalOptions surface. Configure with the builder setters, e.g.
+  /// `core::EvalOptions{}.with_strategy(core::Strategy::kGrid)`.
   core::EvalOptions eval{};
 };
 

@@ -346,4 +346,17 @@ bool Json::parse(std::string_view text, Json& out, std::string& error) {
   return Parser(text, error).run(out);
 }
 
+bool json_to_u64(const Json& json, std::uint64_t max, std::uint64_t& out) {
+  if (!json.is_number()) return false;
+  const double value = json.as_number();
+  if (!(value >= 0.0) || value != std::floor(value)) return false;
+  // Doubles are exact up to 2^53; every id space here (NodeId, session
+  // ids, trace sizes) fits below that.
+  if (value > 9007199254740992.0) return false;
+  const auto integral = static_cast<std::uint64_t>(value);
+  if (integral > max) return false;
+  out = integral;
+  return true;
+}
+
 }  // namespace rim::io

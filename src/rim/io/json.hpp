@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -73,9 +75,6 @@ class Json {
   [[nodiscard]] bool is_number() const {
     return std::holds_alternative<double>(value_);
   }
-  [[nodiscard]] bool is_string() const {
-    return std::holds_alternative<std::string>(value_);
-  }
   [[nodiscard]] bool is_array() const {
     return std::holds_alternative<JsonArray>(value_);
   }
@@ -123,5 +122,21 @@ class Json {
 
 /// Escape a string per RFC 8259 (quotes, backslash, control characters).
 [[nodiscard]] std::string json_escape(const std::string& raw);
+
+/// The one checked integer reader for decoded documents: true iff \p json
+/// is a number with an exact integral value in [0, max] and at most 2^53
+/// (above it doubles no longer hold every integer). Negative, fractional,
+/// non-finite and out-of-range values are refused, never cast.
+[[nodiscard]] bool json_to_u64(const Json& json, std::uint64_t max,
+                               std::uint64_t& out);
+
+/// json_to_u64 into an unsigned integer type, bounded by its maximum.
+template <typename T>
+[[nodiscard]] bool json_to_uint(const Json& json, T& out) {
+  std::uint64_t value = 0;
+  if (!json_to_u64(json, std::numeric_limits<T>::max(), value)) return false;
+  out = static_cast<T>(value);
+  return true;
+}
 
 }  // namespace rim::io

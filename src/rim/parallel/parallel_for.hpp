@@ -45,39 +45,4 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   pool.wait_idle();
 }
 
-/// Parallel map-reduce: reduce(body(i)) over [begin, end) with a
-/// deterministic block-ordered combine (the per-block partials are combined
-/// in block order, so floating-point reductions are reproducible run to run).
-template <typename T, typename Body, typename Combine>
-[[nodiscard]] T parallel_reduce(std::size_t begin, std::size_t end, T init,
-                                const Body& body, const Combine& combine,
-                                ThreadPool& pool = ThreadPool::shared(),
-                                std::size_t grain = 256) {
-  if (begin >= end) return init;
-  const std::size_t count = end - begin;
-  const std::size_t workers = pool.thread_count();
-  if (count <= grain || workers <= 1) {
-    T acc = init;
-    for (std::size_t i = begin; i < end; ++i) acc = combine(acc, body(i));
-    return acc;
-  }
-  const std::size_t blocks = std::min(workers * 4, (count + grain - 1) / grain);
-  const std::size_t block_size = (count + blocks - 1) / blocks;
-  std::vector<T> partial(blocks, init);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = begin + b * block_size;
-    const std::size_t hi = std::min(end, lo + block_size);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, b, &partial, &body, &combine, init] {
-      T acc = init;
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-      partial[b] = acc;
-    });
-  }
-  pool.wait_idle();
-  T acc = init;
-  for (const T& p : partial) acc = combine(acc, p);
-  return acc;
-}
-
 }  // namespace rim::parallel

@@ -75,7 +75,6 @@ class Backoff {
   }
 
   [[nodiscard]] std::size_t failures() const { return failures_; }
-  [[nodiscard]] std::uint64_t deadline_ns() const { return deadline_ns_; }
   [[nodiscard]] const BackoffPolicy& policy() const { return policy_; }
 
  private:

@@ -173,9 +173,7 @@ std::string Router::create_session(std::uint64_t id) {
       }
       std::uint64_t backend_session = 0;
       if (session_field == nullptr ||
-          !svc::json_to_u64(*session_field,
-                            std::numeric_limits<std::uint64_t>::max(),
-                            backend_session)) {
+          !io::json_to_uint(*session_field, backend_session)) {
         response = svc::make_error(id, svc::code::kInternal,
                                    "backend '" + owner +
                                        "' returned no session id");

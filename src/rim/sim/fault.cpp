@@ -60,8 +60,11 @@ bool FaultEvent::from_json(const io::Json& json, FaultEvent& out,
     error = "fault event: unknown kind '" + *kind->as_string() + "'";
     return false;
   }
-  out.batch = static_cast<std::size_t>(batch->as_number());
-  out.index = static_cast<std::size_t>(index->as_number());
+  if (!io::json_to_uint(*batch, out.batch) ||
+      !io::json_to_uint(*index, out.index)) {
+    error = "fault event: batch/index must be non-negative integers";
+    return false;
+  }
   return true;
 }
 
@@ -143,6 +146,18 @@ bool FaultInjector::before_recount(std::size_t index) {
   return true;
 }
 
+namespace {
+
+/// True for faults delivered through BatchHooks (crash/poison); false for
+/// faults that rewrite the batch before application.
+bool is_engine_fault(FaultKind kind) {
+  return kind == FaultKind::kCrashMidBatch ||
+         kind == FaultKind::kPoisonDiskTask ||
+         kind == FaultKind::kPoisonRecount;
+}
+
+/// Rewrite a batch per a trace fault (drop/duplicate/reorder). Engine
+/// faults and empty batches return the input unchanged.
 std::vector<core::Mutation> apply_trace_faults(
     std::vector<core::Mutation> batch, const FaultEvent& event) {
   if (batch.empty()) return batch;
@@ -165,6 +180,8 @@ std::vector<core::Mutation> apply_trace_faults(
   }
   return batch;
 }
+
+}  // namespace
 
 FaultedBatchOutcome apply_batch_with_faults(
     core::Scenario& scenario, std::span<const core::Mutation> batch,

@@ -53,14 +53,6 @@ enum class FaultKind : std::uint8_t {
 [[nodiscard]] bool fault_kind_from_string(const std::string& name,
                                           FaultKind& kind);
 
-/// True for faults delivered through BatchHooks (crash/poison); false for
-/// faults that rewrite the batch before application.
-[[nodiscard]] constexpr bool is_engine_fault(FaultKind kind) {
-  return kind == FaultKind::kCrashMidBatch ||
-         kind == FaultKind::kPoisonDiskTask ||
-         kind == FaultKind::kPoisonRecount;
-}
-
 struct FaultEvent {
   std::size_t batch = 0;  ///< which batch of the replay the fault strikes
   FaultKind kind = FaultKind::kNone;
@@ -126,11 +118,6 @@ class FaultInjector final : public core::BatchHooks {
   std::size_t crash_index_ = 0;
   std::atomic<bool> fired_{false};
 };
-
-/// Rewrite a batch per a trace fault (drop/duplicate/reorder). Engine
-/// faults and empty batches return the input unchanged.
-[[nodiscard]] std::vector<core::Mutation> apply_trace_faults(
-    std::vector<core::Mutation> batch, const FaultEvent& event);
 
 /// What apply_batch_with_faults did.
 struct FaultedBatchOutcome {

@@ -73,8 +73,10 @@ bool mutation_from_json(const io::Json& json, core::Mutation& out,
     error = "mutation: malformed pos_bits";
     return false;
   }
-  out.u = static_cast<NodeId>(u->as_number());
-  out.v = static_cast<NodeId>(v->as_number());
+  if (!io::json_to_uint(*u, out.u) || !io::json_to_uint(*v, out.v)) {
+    error = "mutation: u/v must be integers in [0, 2^32 - 1]";
+    return false;
+  }
   return true;
 }
 
@@ -136,9 +138,13 @@ bool FuzzTrace::from_json(const io::Json& json, FuzzTrace& out,
     error = "fuzz trace: malformed config";
     return false;
   }
-  out.config.seed = static_cast<std::uint64_t>(seed->as_number());
-  out.config.initial_nodes = static_cast<std::size_t>(initial->as_number());
-  out.config.batch_size = static_cast<std::size_t>(batch_size->as_number());
+  if (!io::json_to_uint(*seed, out.config.seed) ||
+      !io::json_to_uint(*initial, out.config.initial_nodes) ||
+      !io::json_to_uint(*batch_size, out.config.batch_size)) {
+    error = "fuzz trace: seed/initial_nodes/batch_size must be non-negative "
+            "integers";
+    return false;
+  }
   const io::Json* init = json.find("init");
   if (init != nullptr && init->as_string() != nullptr) {
     out.init = *init->as_string();
@@ -152,12 +158,16 @@ bool FuzzTrace::from_json(const io::Json& json, FuzzTrace& out,
     out.recover = recover->as_bool();
   }
   const io::Json* audit_every = json.find("audit_every");
-  if (audit_every != nullptr && audit_every->is_number()) {
-    out.audit_every = static_cast<std::size_t>(audit_every->as_number());
+  if (audit_every != nullptr && audit_every->is_number() &&
+      !io::json_to_uint(*audit_every, out.audit_every)) {
+    error = "fuzz trace: audit_every must be a non-negative integer";
+    return false;
   }
   const io::Json* probes = json.find("robustness_probes");
-  if (probes != nullptr && probes->is_number()) {
-    out.robustness_probes = static_cast<std::size_t>(probes->as_number());
+  if (probes != nullptr && probes->is_number() &&
+      !io::json_to_uint(*probes, out.robustness_probes)) {
+    error = "fuzz trace: robustness_probes must be a non-negative integer";
+    return false;
   }
   const io::Json* epochs = json.find("epochs");
   if (epochs == nullptr || !epochs->is_array()) {

@@ -12,8 +12,7 @@ std::uint64_t u64_field(const io::Json& result, const char* key,
                         std::uint64_t fallback = 0) {
   const io::Json* field = result.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr ||
-      !json_to_u64(*field, std::numeric_limits<std::uint64_t>::max(), value)) {
+  if (field == nullptr || !io::json_to_uint(*field, value)) {
     return fallback;
   }
   return value;

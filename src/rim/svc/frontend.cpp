@@ -1,6 +1,5 @@
 #include "rim/svc/frontend.hpp"
 
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -65,8 +64,7 @@ std::string Frontend::dispatch(std::string_view payload) {
   std::uint64_t id = 0;
   const io::Json* id_field = request.find("id");
   if (id_field != nullptr) {
-    (void)json_to_u64(*id_field, std::numeric_limits<std::uint64_t>::max(),
-                      id);
+    (void)io::json_to_uint(*id_field, id);
   }
   const io::Json* cmd_field = request.find("cmd");
   const std::string* command =

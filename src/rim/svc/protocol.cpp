@@ -1,8 +1,6 @@
 #include "rim/svc/protocol.hpp"
 
-#include <cmath>
 #include <cstring>
-#include <limits>
 
 namespace rim::svc {
 
@@ -139,26 +137,13 @@ bool is_mutating_command(std::string_view command) {
   return entry != nullptr && entry->mutating;
 }
 
-bool json_to_u64(const io::Json& json, std::uint64_t max, std::uint64_t& out) {
-  if (!json.is_number()) return false;
-  const double value = json.as_number();
-  if (!(value >= 0.0) || value != std::floor(value)) return false;
-  // Doubles are exact up to 2^53; every id space here (NodeId, session
-  // ids) fits comfortably below that.
-  if (value > 9007199254740992.0) return false;
-  const auto integral = static_cast<std::uint64_t>(value);
-  if (integral > max) return false;
-  out = integral;
-  return true;
-}
-
 namespace {
 
 bool node_id_field(const io::Json& json, const char* key, NodeId& out,
                    std::string& error) {
   const io::Json* field = json.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr || !json_to_u64(*field, kInvalidNode, value)) {
+  if (field == nullptr || !io::json_to_u64(*field, kInvalidNode, value)) {
     error = std::string("mutation field '") + key +
             "' must be an integer node id";
     return false;
@@ -249,8 +234,7 @@ common::Expected<std::uint64_t, std::string> u64_field(const io::Json& request,
                                                        const char* what) {
   const io::Json* field = request.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr ||
-      !json_to_u64(*field, std::numeric_limits<std::uint64_t>::max(), value)) {
+  if (field == nullptr || !io::json_to_uint(*field, value)) {
     return common::Unexpected(std::string("field '") + key + "' must be " +
                               what);
   }
@@ -263,10 +247,7 @@ std::uint64_t peek_request_id(std::string_view payload) {
   if (!io::Json::parse(payload, document, error)) return 0;
   const io::Json* id = document.find("id");
   std::uint64_t value = 0;
-  if (id == nullptr ||
-      !json_to_u64(*id, std::numeric_limits<std::uint64_t>::max(), value)) {
-    return 0;
-  }
+  if (id == nullptr || !io::json_to_uint(*id, value)) return 0;
   return value;
 }
 

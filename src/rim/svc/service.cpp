@@ -71,7 +71,7 @@ bool node_id_in_range(const io::Json& request, const char* key,
                       std::string& error) {
   const io::Json* field = request.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr || !json_to_u64(*field, kInvalidNode, value)) {
+  if (field == nullptr || !io::json_to_u64(*field, kInvalidNode, value)) {
     error = std::string("field '") + key + "' must be an integer node id";
     return false;
   }
@@ -448,8 +448,9 @@ std::string Service::dispatch_session_command(std::uint64_t id,
           if (kind_name == nullptr ||
               !sim::fault_kind_from_string(*kind_name, event.kind) ||
               index == nullptr ||
-              !json_to_u64(*index, std::numeric_limits<std::uint32_t>::max(),
-                           index_value)) {
+              !io::json_to_u64(*index,
+                               std::numeric_limits<std::uint32_t>::max(),
+                               index_value)) {
             reply = error_reply(id, code::kBadRequest,
                                 "field 'fault' must carry a fault kind "
                                 "name and an integer index");

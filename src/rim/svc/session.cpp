@@ -215,14 +215,6 @@ std::size_t SessionManager::live_count() const {
   return live_count_locked();
 }
 
-std::vector<std::uint64_t> SessionManager::session_ids() const {
-  common::MutexLock lock(mutex_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [id, entry] : sessions_) ids.push_back(id);
-  return ids;
-}
-
 io::Json SessionManager::counters_json() const { return counters_.to_json(); }
 
 }  // namespace rim::svc

@@ -154,10 +154,6 @@ class SessionManager {
   [[nodiscard]] std::size_t session_count() const RIM_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t live_count() const RIM_EXCLUDES(mutex_);
 
-  /// Ascending ids of all sessions (live and spilled).
-  [[nodiscard]] std::vector<std::uint64_t> session_ids() const
-      RIM_EXCLUDES(mutex_);
-
   [[nodiscard]] const SvcLimits& limits() const { return limits_; }
   [[nodiscard]] const SessionManagerCounters& counters() const {
     return counters_;
@@ -193,7 +189,7 @@ class SessionManager {
   SessionManagerCounters counters_;
 
   mutable common::Mutex mutex_;
-  /// std::map: session_ids()/metrics iterate it into deterministic output.
+  /// std::map: eviction and metrics iterate it in deterministic order.
   std::map<std::uint64_t, Entry> sessions_ RIM_GUARDED_BY(mutex_);
   std::uint64_t next_id_ RIM_GUARDED_BY(mutex_) = 1;
   std::uint64_t lru_tick_ RIM_GUARDED_BY(mutex_) = 0;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rim/core/audit.hpp"
@@ -62,6 +64,45 @@ TEST(FaultPlanTest, JsonRoundTrip) {
   FaultPlan back;
   ASSERT_TRUE(FaultPlan::from_json(doc, back, error)) << error;
   EXPECT_EQ(back.to_json().dump(), text);
+}
+
+/// \p text with its one occurrence of \p needle replaced by \p value.
+std::string replaced(std::string text, const std::string& needle,
+                     const std::string& value) {
+  const std::size_t at = text.find(needle);
+  EXPECT_NE(at, std::string::npos) << needle;
+  EXPECT_EQ(text.find(needle, at + 1), std::string::npos) << needle;
+  if (at != std::string::npos) text.replace(at, needle.size(), value);
+  return text;
+}
+
+/// Every integer field a decoder reads is refused when the document holds
+/// a negative, fractional or out-of-range number instead of being cast.
+const char* const kBadIntegers[] = {"-1", "0.5", "1e300"};
+
+TEST(FaultPlanTest, DecoderRefusesNonIntegralNumbers) {
+  FaultEvent event;
+  event.batch = 3;
+  event.kind = FaultKind::kDropMutation;
+  event.index = 1;
+  const std::string text = event.to_json().dump();
+  for (const char* field : {"batch", "index"}) {
+    const std::string needle = std::string("\"") + field + "\":" +
+                               (std::string(field) == "batch" ? "3" : "1");
+    for (const char* bad : kBadIntegers) {
+      io::Json doc;
+      std::string error;
+      ASSERT_TRUE(io::Json::parse(
+          replaced(text, needle, std::string("\"") + field + "\":" + bad),
+          doc, error))
+          << error;
+      FaultEvent back;
+      EXPECT_FALSE(FaultEvent::from_json(doc, back, error))
+          << field << " = " << bad;
+      EXPECT_NE(error.find("non-negative integers"), std::string::npos)
+          << error;
+    }
+  }
 }
 
 TEST(FaultTest, CrashAbortLeavesConsistentPrefix) {
@@ -252,6 +293,47 @@ TEST(FuzzTraceTest, JsonRoundTrip) {
   EXPECT_EQ(a.faults_fired, b.faults_fired);
   EXPECT_EQ(a.restores, b.restores);
   EXPECT_EQ(a.violation, b.violation);
+}
+
+TEST(FuzzTraceTest, DecoderRefusesNonIntegralNumbers) {
+  WorkloadConfig config = trace_config();
+  config.seed = 5;
+  config.initial_nodes = 24;
+  config.batch_size = 12;
+  FuzzTrace trace = make_fuzz_trace(config, 12, 0.0, 3);
+  trace.epochs = {{Mutation::add_edge(3, 4)}};
+  trace.audit_every = 6;
+  trace.robustness_probes = 7;
+  const std::string text = trace.to_json().dump();
+  {
+    io::Json doc;
+    std::string error;
+    ASSERT_TRUE(io::Json::parse(text, doc, error)) << error;
+    FuzzTrace back;
+    ASSERT_TRUE(FuzzTrace::from_json(doc, back, error)) << error;
+  }
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"seed", "5"},        {"initial_nodes", "24"},
+      {"batch_size", "12"}, {"audit_every", "6"},
+      {"robustness_probes", "7"}, {"u", "3"},
+      {"v", "4"}};
+  for (const auto& [field, value] : fields) {
+    std::vector<std::string> bad(std::begin(kBadIntegers),
+                                 std::end(kBadIntegers));
+    if (field == "u" || field == "v") bad.emplace_back("4294967296");
+    for (const std::string& b : bad) {
+      io::Json doc;
+      std::string error;
+      ASSERT_TRUE(io::Json::parse(replaced(text, "\"" + field + "\":" + value,
+                                           "\"" + field + "\":" + b),
+                                  doc, error))
+          << error;
+      FuzzTrace back;
+      EXPECT_FALSE(FuzzTrace::from_json(doc, back, error))
+          << field << " = " << b;
+      EXPECT_FALSE(error.empty()) << field << " = " << b;
+    }
+  }
 }
 
 TEST(FuzzTraceTest, RecoveredTraceIsViolationFree) {

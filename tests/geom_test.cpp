@@ -110,6 +110,17 @@ TEST(Aabb, BoundingBoxOfPoints) {
   EXPECT_EQ(box.hi, (Vec2{3, 5}));
 }
 
+/// Ids of all points within closed distance \p radius of \p center, in
+/// ascending order.
+std::vector<NodeId> disk_ids(const GridIndex& index, Vec2 center,
+                             double radius) {
+  std::vector<NodeId> out;
+  index.for_each_in_disk(center, radius,
+                         [&out](NodeId id) { out.push_back(id); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 class GridIndexTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridIndexTest, DiskQueryMatchesBruteForce) {
@@ -117,7 +128,7 @@ TEST_P(GridIndexTest, DiskQueryMatchesBruteForce) {
   const GridIndex index(points, 0.7);
   for (double radius : {0.0, 0.3, 1.0, 2.5}) {
     for (NodeId probe = 0; probe < 10; ++probe) {
-      const auto got = index.query_disk(points[probe], radius);
+      const auto got = disk_ids(index, points[probe], radius);
       std::vector<NodeId> expected;
       for (NodeId v = 0; v < points.size(); ++v) {
         if (dist2(points[v], points[probe]) <= radius * radius) {
@@ -134,7 +145,7 @@ TEST_P(GridIndexTest, CountMatchesQuerySize) {
   const GridIndex index(points, 0.5);
   for (NodeId probe = 0; probe < 8; ++probe) {
     EXPECT_EQ(index.count_in_disk(points[probe], 0.8),
-              index.query_disk(points[probe], 0.8).size());
+              disk_ids(index, points[probe], 0.8).size());
   }
 }
 
@@ -165,7 +176,7 @@ TEST(GridIndex, EmptyIndex) {
   const GridIndex index(points, 1.0);
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.nearest({0, 0}), kInvalidNode);
-  EXPECT_TRUE(index.query_disk({0, 0}, 10.0).empty());
+  EXPECT_TRUE(disk_ids(index, {0, 0}, 10.0).empty());
 }
 
 TEST(GridIndex, SinglePoint) {
@@ -178,7 +189,7 @@ TEST(GridIndex, SinglePoint) {
 TEST(GridIndex, NegativeRadiusFindsNothing) {
   const PointSet points{{0, 0}};
   const GridIndex index(points, 1.0);
-  EXPECT_TRUE(index.query_disk({0, 0}, -1.0).empty());
+  EXPECT_TRUE(disk_ids(index, {0, 0}, -1.0).empty());
 }
 
 TEST(GridIndex, HandlesExtremeAspectRatios) {
@@ -190,7 +201,7 @@ TEST(GridIndex, HandlesExtremeAspectRatios) {
     x = x * 2.0 + 1.0;
   }
   const GridIndex index(points, 1e-6);
-  EXPECT_EQ(index.query_disk({0.0, 0.0}, 1.5).size(), 2u);  // x=0 and x=1
+  EXPECT_EQ(disk_ids(index, {0.0, 0.0}, 1.5).size(), 2u);  // x=0 and x=1
   EXPECT_EQ(index.nearest({0.4, 0.0}), 0u);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "rim/core/assessor.hpp"
 #include "rim/core/interference.hpp"
 #include "rim/graph/udg.hpp"
@@ -13,6 +16,16 @@ namespace {
 
 graph::Graph mst_of(const geom::PointSet& points) {
   return topology::mst_topology(points, graph::build_udg(points, 1.0));
+}
+
+/// Max increase of I(v) over the pre-existing nodes (0 when no delta is
+/// positive; a removed node's own delta is -I(victim)).
+std::uint32_t max_node_increase(const Assessment& assessment) {
+  std::int64_t increase = 0;
+  for (const std::int64_t delta : assessment.delta_per_node) {
+    increase = std::max(increase, delta);
+  }
+  return static_cast<std::uint32_t>(increase);
 }
 
 TEST(NodeAddition, IsolatedNewcomerAddsAtMostOne) {
@@ -78,9 +91,11 @@ TEST(NodeRemoval, NeverIncreasesInterferenceWithoutRepair) {
   const auto points = sim::uniform_square(40, 1.5, 21);
   const graph::Graph topo = mst_of(points);
   for (NodeId victim = 0; victim < points.size(); victim += 7) {
-    const auto impact = Assessor{}.assess_removal(points, topo, victim);
-    EXPECT_EQ(impact.receiver_max_node_increase, 0u) << "victim " << victim;
-    EXPECT_LE(impact.receiver_after, impact.receiver_before);
+    Scenario scenario(points, topo);
+    const auto impact =
+        Assessor{}.assess(scenario, Mutation::remove_node(victim));
+    EXPECT_EQ(max_node_increase(impact), 0u) << "victim " << victim;
+    EXPECT_LE(impact.max_after, impact.max_before);
   }
 }
 
@@ -90,9 +105,10 @@ TEST(NodeRemoval, RemovingCovererDropsInterference) {
   graph::Graph topo(3);
   topo.add_edge(0, 1);
   topo.add_edge(1, 2);
-  const auto impact = Assessor{}.assess_removal(points, topo, 1);
-  EXPECT_EQ(impact.receiver_after, 0u);
-  EXPECT_GT(impact.receiver_before, 0u);
+  Scenario scenario(points, topo);
+  const auto impact = Assessor{}.assess(scenario, Mutation::remove_node(1));
+  EXPECT_EQ(impact.max_after, 0u);
+  EXPECT_GT(impact.max_before, 0u);
 }
 
 }  // namespace

@@ -74,49 +74,5 @@ TEST(ParallelFor, OffsetRange) {
   EXPECT_EQ(sum.load(), (100u + 199u) * 100u / 2u);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const std::size_t n = 100000;
-  const auto sum = parallel_reduce<std::uint64_t>(
-      0, n, 0ull, [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; }, pool, 128);
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  ThreadPool pool(3);
-  std::vector<double> values(5000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<double>((i * 7919) % 4999);
-  }
-  const double expected = *std::max_element(values.begin(), values.end());
-  const double got = parallel_reduce<double>(
-      0, values.size(), 0.0, [&](std::size_t i) { return values[i]; },
-      [](double a, double b) { return a > b ? a : b; }, pool, 100);
-  EXPECT_DOUBLE_EQ(got, expected);
-}
-
-TEST(ParallelReduce, DeterministicAcrossRuns) {
-  ThreadPool pool(8);
-  const auto run = [&] {
-    return parallel_reduce<double>(
-        0, 50000, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; }, pool, 64);
-  };
-  const double first = run();
-  for (int trial = 0; trial < 5; ++trial) {
-    EXPECT_EQ(run(), first);  // bitwise equal: block-ordered combine
-  }
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const int result = parallel_reduce<int>(
-      3, 3, 42, [](std::size_t) { return 0; },
-      [](int a, int b) { return a + b; }, pool);
-  EXPECT_EQ(result, 42);
-}
-
 }  // namespace
 }  // namespace rim::parallel

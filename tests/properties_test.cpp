@@ -96,9 +96,11 @@ TEST_P(ModelProperties, RemovalThenSameAdditionRestoresInterference) {
   // must be consistent with the addition impact measured on the reduced
   // network (bookkeeping-only check, kIsolated policy both ways).
   const NodeId victim = static_cast<NodeId>(points_.size() - 1);
-  const auto removal = core::Assessor{}.assess_removal(points_, topo, victim);
-  EXPECT_EQ(removal.receiver_before, base.max);
-  EXPECT_LE(removal.receiver_after, removal.receiver_before);
+  core::Scenario scenario(points_, topo);
+  const auto removal =
+      core::Assessor{}.assess(scenario, core::Mutation::remove_node(victim));
+  EXPECT_EQ(removal.max_before, base.max);
+  EXPECT_LE(removal.max_after, removal.max_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelProperties,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -373,18 +374,31 @@ TEST(SnapshotTest, BinaryEncodingIsPinned) {
             R"(","format":"rim-snapshot","version":2})");
 }
 
-/// Overwrite the reserved execution byte and task-floor u64 of a v2
-/// encoding, then re-seal its FNV-1a trailer so only those fields differ.
-std::vector<std::uint8_t> with_reserved_options(std::vector<std::uint8_t> bytes,
-                                                std::uint8_t execution,
-                                                std::uint64_t task_floor) {
+/// The canonical threshold slots of a v2 encoding: auto_brute_max_nodes,
+/// auto_grid_max_nodes, the bits of max_touched_fraction, touched_floor.
+constexpr std::array<std::uint64_t, 4> kCanonicalThresholds = {
+    64, 4096, 0x3FD0000000000000ULL, 64};
+
+/// Overwrite the reserved execution byte, the four threshold slots and the
+/// task-floor u64 of a v2 encoding, then re-seal its FNV-1a trailer so only
+/// those fields differ.
+std::vector<std::uint8_t> with_reserved_options(
+    std::vector<std::uint8_t> bytes, std::uint8_t execution,
+    std::uint64_t task_floor,
+    const std::array<std::uint64_t, 4>& thresholds = kCanonicalThresholds) {
   constexpr std::size_t kExecutionOffset = 41;  // magic..cell_size, strategy
+  constexpr std::size_t kThresholdOffset = 42;  // four 8-byte slots
   constexpr std::size_t kTaskFloorOffset = 74;  // after touched_floor
+  const auto put_u64 = [&bytes](std::size_t offset, std::uint64_t value) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  };
   bytes[kExecutionOffset] = execution;
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[kTaskFloorOffset + i] =
-        static_cast<std::uint8_t>(task_floor >> (8 * i));
+  for (std::size_t k = 0; k < thresholds.size(); ++k) {
+    put_u64(kThresholdOffset + 8 * k, thresholds[k]);
   }
+  put_u64(kTaskFloorOffset, task_floor);
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
     h ^= bytes[i];
@@ -411,6 +425,8 @@ TEST(SnapshotTest, ReservedExecutionFieldsDecodeToCanonicalBytes) {
   ASSERT_EQ(canonical[41], 1u);
   ASSERT_EQ(canonical[74], 4u);
 
+  ASSERT_EQ(with_reserved_options(canonical, 1, 4), canonical);
+
   for (const std::uint8_t execution : {0, 2}) {
     const std::vector<std::uint8_t> legacy =
         with_reserved_options(canonical, execution, 16);
@@ -420,6 +436,27 @@ TEST(SnapshotTest, ReservedExecutionFieldsDecodeToCanonicalBytes) {
     ASSERT_TRUE(Snapshot::from_bytes(legacy, decoded, error))
         << "execution " << int{execution} << ": " << error;
     EXPECT_EQ(decoded.to_bytes(), canonical) << "execution " << int{execution};
+    Scenario restored{EvalOptions{}};
+    ASSERT_TRUE(restored.restore(decoded, &error)) << error;
+    EXPECT_EQ(restored.snapshot().to_bytes(), canonical);
+  }
+
+  // The four threshold slots are reserved the same way: snapshots written
+  // while EvalOptions carried settable thresholds hold any values (a NaN
+  // fraction included) and re-encode to the constants.
+  const std::array<std::uint64_t, 4> legacy_thresholds[] = {
+      {0, 0, 0, 0},
+      {1, 1u << 20, 0x3FE0000000000000ULL /* 0.5 */, 128},
+      {~0ULL, ~0ULL, 0x7FF8000000000000ULL /* NaN */, ~0ULL}};
+  for (const auto& thresholds : legacy_thresholds) {
+    const std::vector<std::uint8_t> legacy =
+        with_reserved_options(canonical, 1, 4, thresholds);
+    ASSERT_NE(legacy, canonical);
+    Snapshot decoded;
+    std::string error;
+    ASSERT_TRUE(Snapshot::from_bytes(legacy, decoded, error))
+        << "thresholds " << thresholds[0] << ": " << error;
+    EXPECT_EQ(decoded.to_bytes(), canonical) << "thresholds " << thresholds[0];
     Scenario restored{EvalOptions{}};
     ASSERT_TRUE(restored.restore(decoded, &error)) << error;
     EXPECT_EQ(restored.snapshot().to_bytes(), canonical);

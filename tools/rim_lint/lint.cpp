@@ -404,7 +404,17 @@ std::string report_json(const LintReport& report, std::string_view mode) {
     first = false;
     append_violation_json(out, v, true);
   }
-  out << "\n  ],\n  \"counts\": {\"active\": " << report.active.size()
+  out << "\n  ],\n  \"unused\": [";
+  first = true;
+  for (const UnusedSymbol& u : report.unused) {
+    out << (first ? "\n" : ",\n") << "    {\"file\": \"" << json_escape(u.file)
+        << "\", \"line\": " << u.line << ", \"symbol\": \""
+        << json_escape(u.symbol) << "\", \"kind\": \"" << json_escape(u.kind)
+        << "\"}";
+    first = false;
+  }
+  out << (report.unused.empty() ? "" : "\n  ")
+      << "],\n  \"counts\": {\"active\": " << report.active.size()
       << ", \"suppressed\": " << report.suppressed.size() << "}\n}\n";
   return out.str();
 }

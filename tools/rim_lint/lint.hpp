@@ -54,12 +54,23 @@ struct RuleInfo {
 /// True for rules produced by the project-wide passes (`project-*`).
 [[nodiscard]] bool is_project_rule(std::string_view name);
 
+/// One hit of the project unused-symbol pass (project.hpp): a function or
+/// type a src/rim header declares publicly that no product TU references.
+struct UnusedSymbol {
+  std::string file;
+  std::size_t line = 0;
+  std::string symbol;  ///< scope-qualified, without the leading "rim::"
+  std::string kind;    ///< "unreferenced", "test-only" or "own-file-only"
+};
+
 /// A lint result that keeps the suppression state: `active` violations
 /// fail the run; `suppressed` ones were covered by a RIM_LINT_ALLOW and are
-/// reported (with their reason'd state) in the JSON output only.
+/// reported (with their reason'd state) in the JSON output only. `unused`
+/// is the project unused-symbol report: JSON only, and it never fails a run.
 struct LintReport {
   std::vector<Violation> active;
   std::vector<Violation> suppressed;
+  std::vector<UnusedSymbol> unused;
 };
 
 /// Lint one translation unit given as an in-memory string. \p path is the
@@ -93,8 +104,9 @@ struct LintReport {
 
 /// Serialize a report as deterministic JSON (sorted violations, escaped
 /// strings): {"generator","mode","violations":[{file,line,rule,message,
-/// suppressed}],"counts":{active,suppressed}}. \p mode is "files" or
-/// "project". The schema is consumed by tools/check_lint.py.
+/// suppressed}],"unused":[{file,line,symbol,kind}],"counts":{active,
+/// suppressed}}. \p mode is "files" or "project". The schema is consumed by
+/// tools/check_lint.py, which gates on "violations" only.
 [[nodiscard]] std::string report_json(const LintReport& report,
                                       std::string_view mode);
 

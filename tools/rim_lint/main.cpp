@@ -13,7 +13,8 @@
 ///   rim_lint --project [build]     cross-TU passes (taint, lock order,
 ///                                  annotation coverage) over the TU set in
 ///                                  <build>/compile_commands.json
-///                                  (default build dir: "build")
+///                                  (default build dir: "build"), plus the
+///                                  unused-symbol report (--json only)
 ///   rim_lint --binary-check f...   only the binary-file rule, any file type
 ///                                  (CI pipes `git ls-files` through this)
 ///   rim_lint --json                emit the machine-readable report on

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "scan.hpp"
 
@@ -1092,6 +1093,381 @@ void coverage_pass(Index& index, std::vector<Violation>& out) {
   index.coverage.clear();
 }
 
+// ---------------------------------------------------------------------------
+// Unused-symbol pass
+// ---------------------------------------------------------------------------
+
+/// A function or type that a src/rim header declares in its public surface.
+struct Declaration {
+  std::string name;    ///< bare name: the key references match on
+  std::string symbol;  ///< scope-qualified name for the report
+  std::size_t line = 0;
+};
+
+/// What the unused pass reads from one file: the declarations it exports
+/// (src/rim headers only) and how often each identifier occurs anywhere but
+/// in a declarator.
+struct SurfaceScan {
+  std::vector<Declaration> declarations;
+  std::map<std::string, std::size_t> references;
+};
+
+/// Names the language calls without spelling them (range-for, structured
+/// bindings, std::swap), plus the program entry point.
+[[nodiscard]] bool implicitly_called(const std::string& name) {
+  return name == "begin" || name == "end" || name == "get" ||
+         name == "swap" || name == "main";
+}
+
+/// ALL_CAPS identifiers are macros (RIM_GUARDED_BY(...), TEST(...)) and
+/// `__`-names are compiler extensions (__attribute__((...))): never the
+/// declarator of a function.
+[[nodiscard]] bool is_macro_name(const std::string& t) {
+  return t.rfind("__", 0) == 0 ||
+         std::none_of(t.begin(), t.end(),
+                      [](char c) { return c >= 'a' && c <= 'z'; });
+}
+
+/// Position in \p d of a function declaration's name: the first identifier
+/// followed by '(' before any '=', outside template arguments, that is not
+/// a keyword, a macro, or a function-pointer declarator. SIZE_MAX if none.
+[[nodiscard]] std::size_t function_name(const std::vector<Token>& d) {
+  for (std::size_t k = 0; k + 1 < d.size(); ++k) {
+    const std::string& t = d[k].text;
+    if (t == "=") return SIZE_MAX;
+    if (t == "<") {
+      skip_angles(d, k);
+      --k;
+      continue;
+    }
+    if (!is_ident(t) || d[k + 1].text != "(") continue;
+    if (is_macro_name(t)) {
+      ++k;  // skip the macro's arguments
+      skip_balanced(d, k, "(", ")");
+      --k;
+      continue;
+    }
+    if (call_keyword_blocklist().count(t) != 0) continue;
+    if (k + 2 < d.size() && (d[k + 2].text == "*" || d[k + 2].text == "&")) {
+      continue;  // `void (*callback)(int)`
+    }
+    return k;
+  }
+  return SIZE_MAX;
+}
+
+/// Position in \p d of the name a class/struct/union/enum head declares
+/// (`template <class T> struct alignas(64) Foo final : Base`), or SIZE_MAX
+/// when \p d is no such head or the type is anonymous.
+[[nodiscard]] std::size_t type_name(const std::vector<Token>& d) {
+  std::size_t k = 0;
+  for (; k < d.size(); ++k) {
+    const std::string& t = d[k].text;
+    if (t == "<") {
+      skip_angles(d, k);
+      --k;
+      continue;
+    }
+    if (t == "(" || t == "=") return SIZE_MAX;
+    if (t == "class" || t == "struct" || t == "union" || t == "enum") break;
+  }
+  std::size_t name = SIZE_MAX;
+  for (++k; k < d.size(); ++k) {
+    const std::string& t = d[k].text;
+    if (t == ":") break;
+    if (t == "(") {
+      skip_balanced(d, k, "(", ")");
+      --k;
+      continue;
+    }
+    if (t == "<") {
+      skip_angles(d, k);
+      --k;
+      continue;
+    }
+    if (is_ident(t) && t != "final" && t != "class" && t != "struct" &&
+        t != "alignas") {
+      name = k;
+    }
+  }
+  return name;
+}
+
+/// Walk one file's scopes. Every declarator token (a declared function or
+/// type name, and the `Class::` qualifiers of an out-of-line definition) is
+/// excluded from the reference counts; when \p exports is set, the
+/// functions and types declared at namespace scope or in a public section
+/// are recorded as declarations.
+SurfaceScan scan_surface(const std::vector<Token>& toks, bool exports) {
+  struct Level {
+    bool klass = false;
+    std::string name;           ///< namespace ("rim::core") or class name
+    bool visible = true;        ///< declarations here can be public surface
+    bool public_access = true;  ///< a class's current access section
+  };
+  SurfaceScan out;
+  std::vector<bool> declarator(toks.size(), false);
+  std::vector<Level> stack;
+  std::vector<Token> decl;
+  std::vector<std::size_t> where;  // token index of each decl entry
+  bool in_init_list = false;
+
+  const auto exported = [&] {
+    if (stack.empty()) return true;
+    return stack.back().visible &&
+           (!stack.back().klass || stack.back().public_access);
+  };
+  const auto qualify = [&](const std::string& name) {
+    std::string q;
+    for (const Level& l : stack) {
+      if (l.name.empty()) continue;
+      q += l.name;
+      q += "::";
+    }
+    q += name;
+    return q.rfind("rim::", 0) == 0 ? q.substr(5) : q;
+  };
+  const auto declare = [&](std::size_t k) {
+    out.declarations.push_back(
+        {decl[k].text, qualify(decl[k].text), decl[k].line});
+  };
+  // Mark a declared function's name and its `A::B::` qualifiers; record it
+  // unless it is no callable surface of its own.
+  const auto finish_function = [&](std::size_t k) {
+    declarator[where[k]] = true;
+    for (std::size_t q = k; q >= 2 && decl[q - 1].text == "::" &&
+                            is_ident(decl[q - 2].text);
+         q -= 2) {
+      declarator[where[q - 2]] = true;
+    }
+    const std::string& name = decl[k].text;
+    const bool skipped =
+        tokens_contain(decl, "friend") || tokens_contain(decl, "using") ||
+        tokens_contain(decl, "typedef") || tokens_contain(decl, "operator") ||
+        tokens_contain(decl, "delete") || tokens_contain(decl, "default") ||
+        (k > 0 && decl[k - 1].text == "~") || implicitly_called(name) ||
+        (!stack.empty() && stack.back().klass && stack.back().name == name);
+    if (exports && exported() && !skipped) declare(k);
+  };
+  const auto clear = [&] {
+    decl.clear();
+    where.clear();
+    in_init_list = false;
+  };
+
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if (t == ";") {
+      if (const std::size_t k = function_name(decl); k != SIZE_MAX) {
+        finish_function(k);
+      } else if (const std::size_t n = type_name(decl); n != SIZE_MAX) {
+        declarator[where[n]] = true;  // forward or friend declaration
+      }
+      clear();
+      continue;
+    }
+    if (t == "}") {
+      if (!stack.empty()) stack.pop_back();
+      clear();
+      continue;
+    }
+    if (t == ":" && decl.size() == 1 && !stack.empty() && stack.back().klass &&
+        (decl[0].text == "public" || decl[0].text == "protected" ||
+         decl[0].text == "private")) {
+      stack.back().public_access = decl[0].text == "public";
+      clear();
+      continue;
+    }
+    if (t != "{") {
+      if (t == ":" && !decl.empty() && decl.back().text == ")") {
+        in_init_list = true;
+      }
+      decl.push_back(toks[i]);
+      where.push_back(i);
+      continue;
+    }
+
+    // --- '{' : classify the pending declaration ---------------------------
+    const std::string prev = decl.empty() ? "" : decl.back().text;
+    const auto skip_group = [&] {
+      skip_balanced(toks, i, "{", "}");
+      --i;
+    };
+    if (in_init_list && (is_ident(prev) || prev == ">")) {
+      skip_group();  // member brace-init in a ctor init list
+      continue;
+    }
+    if (tokens_contain(decl, "namespace")) {
+      std::string name;
+      for (const Token& d : decl) {
+        if (d.text == "::") name += "::";
+        if (is_ident(d.text) && d.text != "namespace" && d.text != "inline") {
+          name += d.text;
+        }
+      }
+      const bool visible = exported() && !name.empty() && name != "std";
+      stack.push_back({false, name, visible, true});
+      clear();
+      continue;
+    }
+    const std::size_t fn = function_name(decl);
+    const std::size_t type = fn == SIZE_MAX ? type_name(decl) : SIZE_MAX;
+    if (type != SIZE_MAX) {
+      declarator[where[type]] = true;
+      if (exports && exported()) declare(type);
+      if (tokens_contain(decl, "enum")) {
+        skip_group();  // enumerators are not declarations of interest
+        clear();
+        continue;
+      }
+      const bool is_class = tokens_contain(decl, "class");
+      stack.push_back({true, decl[type].text, exported(), !is_class});
+      clear();
+      continue;
+    }
+    if (prev == ")" || (fn != SIZE_MAX && (prev == ">" || is_ident(prev) ||
+                                           in_init_list))) {
+      if (fn != SIZE_MAX) finish_function(fn);
+      skip_group();  // a body (or a macro's, TEST(...)) holds references
+      clear();
+      continue;
+    }
+    if (tokens_contain(decl, "=") || is_ident(prev) || prev == ">") {
+      skip_group();  // brace initializer: the declaration continues
+      continue;
+    }
+    // Anonymous class/union/enum bodies and `extern "C"` blocks.
+    const bool anonymous_type = tokens_contain(decl, "struct") ||
+                                tokens_contain(decl, "class") ||
+                                tokens_contain(decl, "union");
+    if (tokens_contain(decl, "enum")) {
+      skip_group();
+      clear();
+      continue;
+    }
+    stack.push_back({anonymous_type, "", exported(), true});
+    clear();
+  }
+
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (!declarator[i] && is_ident(toks[i].text)) ++out.references[toks[i].text];
+  }
+  return out;
+}
+
+/// Where a file's references count for the unused pass.
+enum class Role { kLibrary, kProduct, kTest };
+
+struct SurfaceFile {
+  std::string stem;  ///< display path without extension: the .hpp/.cpp pair
+  Role role = Role::kProduct;
+  SurfaceScan scan;
+};
+
+[[nodiscard]] std::string path_stem(const std::string& display) {
+  const auto dot = display.rfind('.');
+  return dot == std::string::npos ? display : display.substr(0, dot);
+}
+
+/// True for the headers whose public surface the pass reports.
+[[nodiscard]] bool library_header(const std::string& display) {
+  return display.rfind("src/rim/", 0) == 0 && display.size() > 4 &&
+         display.compare(display.size() - 4, 4, ".hpp") == 0;
+}
+
+/// Every C++ source under \p dir, sorted (nothing when it does not exist).
+std::vector<std::string> sources_under(const fs::path& dir) {
+  std::vector<std::string> out;
+  if (!fs::is_directory(dir)) return out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file() && (ext == ".hpp" || ext == ".cpp")) {
+      out.push_back(normalize_path(entry.path()));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The fourth pass: every function and type a src/rim header declares at
+/// namespace scope or in a public section that no product TU (src/,
+/// bench/, examples/, perfbench/src/ outside the declaring .hpp/.cpp pair)
+/// names. References match by bare name, so a collision can hide a hit
+/// but never invent one.
+std::vector<UnusedSymbol> unused_pass(const Index& index,
+                                      const std::string& repo_root) {
+  std::vector<SurfaceFile> files;
+  std::set<std::string> seen;
+  for (const FileScan& f : index.files) {
+    files.push_back({path_stem(f.display), Role::kLibrary,
+                     scan_surface(f.toks, library_header(f.display))});
+    seen.insert(f.display);
+  }
+  if (!repo_root.empty()) {
+    // Headers that only tests include are outside the TU closure, and
+    // perfbench is a CMake project of its own: walk the tree instead.
+    const fs::path root(repo_root);
+    const std::pair<const char*, Role> trees[] = {
+        {"src", Role::kLibrary},       {"tests", Role::kTest},
+        {"bench", Role::kProduct},     {"examples", Role::kProduct},
+        {"perfbench/src", Role::kProduct}};
+    for (const auto& [dir, role] : trees) {
+      for (const std::string& path : sources_under(root / dir)) {
+        const std::string display =
+            role == Role::kLibrary ? display_path(path) : path;
+        if (!seen.insert(display).second) continue;
+        const std::vector<Token> toks =
+            strip_directives(detail::scan(display, read_file(path)).tokens);
+        if (role != Role::kLibrary) {
+          // Outside the library every identifier counts: no declarator
+          // parse there can turn a use into a hit.
+          SurfaceScan refs;
+          for (const Token& t : toks) {
+            if (is_ident(t.text)) ++refs.references[t.text];
+          }
+          files.push_back({path_stem(display), role, std::move(refs)});
+          continue;
+        }
+        files.push_back({path_stem(display), role,
+                         scan_surface(toks, library_header(display))});
+      }
+    }
+  }
+
+  std::vector<UnusedSymbol> out;
+  for (const SurfaceFile& owner : files) {
+    std::set<std::string> reported;
+    for (const Declaration& d : owner.scan.declarations) {
+      if (!reported.insert(d.symbol).second) continue;  // an overload set
+      std::size_t product = 0;
+      std::size_t tests = 0;
+      std::size_t own = 0;
+      for (const SurfaceFile& f : files) {
+        const auto it = f.scan.references.find(d.name);
+        if (it == f.scan.references.end()) continue;
+        if (f.role == Role::kTest) {
+          tests += it->second;
+        } else if (f.role == Role::kLibrary && f.stem == owner.stem) {
+          own += it->second;
+        } else {
+          product += it->second;
+        }
+      }
+      if (product != 0) continue;
+      const char* kind = tests != 0 ? "test-only"
+                         : own != 0 ? "own-file-only"
+                                    : "unreferenced";
+      out.push_back({owner.stem + ".hpp", d.line, d.symbol, kind});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const UnusedSymbol& a, const UnusedSymbol& b) {
+              return std::tie(a.file, a.line, a.symbol) <
+                     std::tie(b.file, b.line, b.symbol);
+            });
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1150,7 +1526,8 @@ std::vector<std::string> project_files(
   return {files.begin(), files.end()};
 }
 
-LintReport analyze_project_files(const std::vector<std::string>& files) {
+LintReport analyze_project_files(const std::vector<std::string>& files,
+                                 const std::string& repo_root) {
   Index index;
   for (const std::string& path : files) {
     FileScan f;
@@ -1216,6 +1593,7 @@ LintReport analyze_project_files(const std::vector<std::string>& files) {
   }
   detail::sort_violations(report.active);
   detail::sort_violations(report.suppressed);
+  report.unused = unused_pass(index, repo_root);
   return report;
 }
 
@@ -1224,7 +1602,17 @@ LintReport analyze_project(const std::string& compile_commands_path) {
   if (fs::is_directory(path)) {
     path = normalize_path(fs::path(path) / "compile_commands.json");
   }
-  return analyze_project_files(project_files(path));
+  const std::vector<std::string> files = project_files(path);
+  // The repo root is the directory the library's src/ lives in.
+  std::string root;
+  for (const std::string& f : files) {
+    const auto pos = f.rfind("/src/rim/");
+    if (pos != std::string::npos) {
+      root = f.substr(0, pos);
+      break;
+    }
+  }
+  return analyze_project_files(files, root);
 }
 
 }  // namespace rim::lint

@@ -4,13 +4,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lint.hpp"
 
-// Fixture-backed tests for the three --project passes (DESIGN.md §13).
+// Fixture-backed tests for the four --project passes (DESIGN.md §13).
 // Each fixture under testdata/project/<case>/ is a miniature src/rim tree
 // handed straight to analyze_project_files; every analysis is exercised
 // with both a violation and a sanctioned suppression.
@@ -199,6 +200,73 @@ TEST(RimLintProject, ReportJsonCarriesSuppressionState) {
   EXPECT_NE(json.find("msg \\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\"counts\": {\"active\": 1, \"suppressed\": 1}"),
             std::string::npos);
+}
+
+/// The unused-symbol report of the `unused` fixture: its src/ tree as the
+/// TU set, and the fixture directory as the repo root whose tests/, bench/
+/// and perfbench/src/ the pass walks.
+std::vector<UnusedSymbol> unused_fixture_report() {
+  const fs::path root = fs::path(RIM_LINT_TESTDATA) / "project" / "unused";
+  return analyze_project_files(fixture_files("unused/src"),
+                               root.generic_string())
+      .unused;
+}
+
+const UnusedSymbol* find_unused(const std::vector<UnusedSymbol>& unused,
+                                std::string_view symbol) {
+  const auto it = std::find_if(
+      unused.begin(), unused.end(),
+      [&](const UnusedSymbol& u) { return u.symbol == symbol; });
+  return it == unused.end() ? nullptr : &*it;
+}
+
+TEST(RimLintProject, UnusedPassClassifiesByWhoNamesTheSymbol) {
+  const std::vector<UnusedSymbol> unused = unused_fixture_report();
+  const UnusedSymbol* none = find_unused(unused, "demo::unreferenced_fn");
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->kind, "unreferenced");
+  EXPECT_EQ(none->file, "src/rim/demo/widget.hpp");
+  EXPECT_EQ(none->line, 8u);
+  const UnusedSymbol* type = find_unused(unused, "demo::UnusedType");
+  ASSERT_NE(type, nullptr);
+  EXPECT_EQ(type->kind, "unreferenced");
+  const UnusedSymbol* tests = find_unused(unused, "demo::test_only_fn");
+  ASSERT_NE(tests, nullptr);
+  EXPECT_EQ(tests->kind, "test-only");
+  const UnusedSymbol* own = find_unused(unused, "demo::own_only_fn");
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(own->kind, "own-file-only");
+  EXPECT_EQ(unused.size(), 4u);
+}
+
+TEST(RimLintProject, UnusedPassCountsBenchAndPerfbenchAsProduct) {
+  const std::vector<UnusedSymbol> unused = unused_fixture_report();
+  EXPECT_EQ(find_unused(unused, "demo::used_by_product"), nullptr);
+  EXPECT_EQ(find_unused(unused, "demo::bench_only_fn"), nullptr);
+  // perfbench is a CMake project of its own, outside compile_commands.json:
+  // the pass walks it from the repo root.
+  EXPECT_EQ(find_unused(unused, "demo::perfbench_only_fn"), nullptr);
+}
+
+TEST(RimLintProject, UnusedPassSkipsPrivateMembers) {
+  const std::vector<UnusedSymbol> unused = unused_fixture_report();
+  EXPECT_EQ(find_unused(unused, "demo::Widget::hidden"), nullptr);
+  EXPECT_EQ(find_unused(unused, "demo::Widget::api"), nullptr);
+  EXPECT_EQ(find_unused(unused, "demo::Widget"), nullptr);
+}
+
+TEST(RimLintProject, UnusedReportIsJsonOnlyAndNeverFails) {
+  const fs::path root = fs::path(RIM_LINT_TESTDATA) / "project" / "unused";
+  const LintReport report =
+      analyze_project_files(fixture_files("unused/src"), root.generic_string());
+  EXPECT_TRUE(report.active.empty());
+  const std::string json = report_json(report, "project");
+  EXPECT_NE(json.find("\"unused\": ["), std::string::npos);
+  EXPECT_NE(json.find("{\"file\": \"src/rim/demo/widget.hpp\", \"line\": 8, "
+                      "\"symbol\": \"demo::unreferenced_fn\", \"kind\": "
+                      "\"unreferenced\"}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(RimLintProject, ProjectRulesAreInCatalog) {
